@@ -14,6 +14,12 @@ import numpy as np
 
 ExactNumber = int | Fraction
 
+DEFAULT_ENUMERATION_CAP = 10**7
+
+
+class EnumerationCapError(RuntimeError):
+    """Raised when a brute-force operation would exceed its tuple budget."""
+
 
 def det_bareiss(matrix: Sequence[Sequence[ExactNumber]]) -> ExactNumber:
     """Exact determinant of a square matrix of ints / Fractions.

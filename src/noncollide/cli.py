@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import filecmp
 import json
 import re
@@ -62,15 +63,18 @@ def _vertices(text: str):
     return out
 
 
+@contextlib.contextmanager
 def _open_out(cfg: RunConfig):
+    """The --out file, closed on exit, or stdout."""
     if cfg.out is None:
-        return sys.stdout, False
-    return open(cfg.out, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(cfg.out, "w", encoding="utf-8", newline="") as stream:
+        yield stream
 
 
 def _emit_value(cfg: RunConfig, value, extra: dict | None = None) -> None:
-    stream, close = _open_out(cfg)
-    try:
+    with _open_out(cfg) as stream:
         if cfg.fmt == "json":
             payload = {"seed": cfg.seed, "value": str(value)}
             if extra:
@@ -78,24 +82,17 @@ def _emit_value(cfg: RunConfig, value, extra: dict | None = None) -> None:
             print(json.dumps(payload, sort_keys=True), file=stream)
         else:
             print(value, file=stream)
-    finally:
-        if close:
-            stream.close()
 
 
 def _write_rows(cfg: RunConfig, header: Sequence[str], rows) -> None:
     """Stream rows as CSV with the seed echoed in a comment header."""
     if cfg.fmt == "json":
         raise ValueError("sampling output is CSV only; use --format csv")
-    stream, close = _open_out(cfg)
-    try:
+    with _open_out(cfg) as stream:
         stream.write(f"# seed={cfg.seed}\n")
         stream.write(",".join(header) + "\n")
         for row in rows:
             stream.write(",".join(_cell(v) for v in row) + "\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def _cell(v) -> str:
@@ -164,13 +161,9 @@ def _cmd_tableau(args, cfg: RunConfig) -> int:
         if args.n is None or args.steps is None:
             raise ValueError("to-walk conversion needs --n and --steps")
         result = combinat.tableau_to_walk(tableau, args.n, args.steps).to_json()
-    stream, close = _open_out(cfg)
-    try:
+    with _open_out(cfg) as stream:
         json.dump(result, stream, sort_keys=True)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -185,14 +178,10 @@ def _cmd_lgv(args, cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit_value(cfg, det, extra)
     else:
-        stream, close = _open_out(cfg)
-        try:
+        with _open_out(cfg) as stream:
             print(det, file=stream)
             if args.check_compatibility:
                 print(f"compatible: {str(extra['compatible']).lower()}", file=stream)
-        finally:
-            if close:
-                stream.close()
     return 0
 
 
@@ -217,9 +206,8 @@ def _cmd_scaling_check(args, cfg: RunConfig) -> int:
         _ints(args.start), args.t, _floats(args.y), args.scale
     )
     rel = abs(lhs / rhs - 1.0) if rhs else float("inf")
-    if cfg.fmt == "json":
-        stream, close = _open_out(cfg)
-        try:
+    with _open_out(cfg) as stream:
+        if cfg.fmt == "json":
             print(
                 json.dumps(
                     {"lhs": lhs, "rhs": rhs, "relative_error": rel, "seed": cfg.seed},
@@ -227,18 +215,10 @@ def _cmd_scaling_check(args, cfg: RunConfig) -> int:
                 ),
                 file=stream,
             )
-        finally:
-            if close:
-                stream.close()
-    else:
-        stream, close = _open_out(cfg)
-        try:
+        else:
             print(f"lhs {lhs!r}", file=stream)
             print(f"rhs {rhs!r}", file=stream)
             print(f"relative_error {rel!r}", file=stream)
-        finally:
-            if close:
-                stream.close()
     return 0
 
 
@@ -605,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument(
         "--method",
-        choices=("auto", "quadrature", "montecarlo", "asymptotic", "closed_form"),
-        default="auto",
+        choices=("pfaffian", "quadrature", "montecarlo", "asymptotic", "closed_form"),
+        default="pfaffian",
     )
     p.add_argument("--grid", default=None, help="lo:hi:count CSV grid (N=2)")
     p.set_defaults(func=_cmd_density)

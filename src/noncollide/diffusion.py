@@ -15,10 +15,26 @@ h-transform, whose drift is the pairwise repulsion sum 1/(y_i - y_j)
 Densities are evaluated in log space and exponentiated at the API boundary;
 the power t^(-N^2/2) and the squared Vandermonde factor underflow quickly
 otherwise.
+
+Survival, the finite-horizon drift and the from-origin start weight all
+take one route, de Bruijn's Pfaffian (de Bruijn 1955):
+
+    N_N(t, x) = Pf A,   A_ij = erf((x_j - x_i) / 2 sqrt(t)),
+
+with A bordered by a row and column of 1s for odd N (a walker at +inf).
+Since det A = (Pf A)^2 and Pf A > 0 in the chamber, log N_N = 1/2 log det A,
+and the drift grad log N_N = 1/2 tr(A^-1 dA/dx_k) is the row sum of
+A^-1 o E, E_ij = dA_ij/dx_j. A^-1 is formed from the Pfaffians of the
+(N-2)-point minors, which keeps the drift accurate where the LU inverse
+cancels. The float determinant loses digits as the gaps shrink against
+sqrt(t); a call raises ValueError when cond_1(A) * eps exceeds
+COND_LIMIT = 1e-6. Quadrature, Monte Carlo, the N <= 2 closed form and the
+small-gap asymptotic stay as named oracle methods of ``survival``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -110,18 +126,19 @@ def km_density(t: float, x: ArrayLike, y: ArrayLike) -> float:
 def survival(
     t: float,
     x: ArrayLike,
-    method: str = "auto",
+    method: str = "pfaffian",
     rng: np.random.Generator | None = None,
     n_samples: int = 200_000,
     tol: float = 1e-7,
 ) -> float:
     """No-collision probability N_N(t, x) of the chamber Brownian motion.
 
-    Methods: "quadrature" (N <= 3, adaptive, abs error below tol),
-    "montecarlo" (any N, importance-corrected Gaussian sampling),
-    "asymptotic" (small x/sqrt(t): h_N(x/sqrt(t)) / c_bar_N),
-    "closed_form" (N <= 2), and "auto" which picks the cheapest exact
-    route (closed form for N <= 2, quadrature for N = 3, Monte Carlo above).
+    The default "pfaffian" is de Bruijn's erf Pfaffian, exact for any N; it
+    raises ValueError when cond_1(A) * eps exceeds COND_LIMIT = 1e-6 (see
+    the module docstring). Oracle methods: "quadrature" (N <= 3, adaptive,
+    abs error below tol), "montecarlo" (any N, importance-corrected
+    Gaussian sampling), "asymptotic" (small x/sqrt(t): h_N(x/sqrt(t)) /
+    c_bar_N) and "closed_form" (N <= 2).
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -129,13 +146,9 @@ def survival(
     n = x.size
     if t == 0:
         return 1.0
-    if method == "auto":
-        if n <= 2:
-            method = "closed_form"
-        elif n == 3:
-            method = "quadrature"
-        else:
-            method = "montecarlo"
+    if method == "pfaffian":
+        log_pf, _, _ = _erf_pfaffian(np.array([t]), x[None, :])
+        return math.exp(log_pf[0])
     if method == "closed_form":
         if n == 1:
             return 1.0
@@ -159,6 +172,57 @@ def survival(
         est, _ = survival_mc(t, x, rng, n_samples)
         return est
     raise ValueError(f"unknown survival method {method!r}")
+
+
+COND_LIMIT = 1e-6  # largest cond_1(A) * eps the erf Pfaffian may return at
+
+
+def _erf_pfaffian(
+    tau: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """de Bruijn's erf Pfaffian over a batch of chamber points.
+
+    For points x (paths, N) and times tau (paths,) returns log Pf A, the
+    A^-1 o E entries on the upper-triangle pairs (p, q), and the pair
+    incidence (pairs, N) with +1 at p and -1 at q: the drift
+    grad log Pf A is the product of the last two.
+    """
+    paths, n = x.shape
+    if n % 2:
+        # the border of 1s is erf of the gap to a walker at +inf
+        x = np.concatenate([x, np.full((paths, 1), np.inf)], axis=1)
+    m = x.shape[1]
+    p, q = np.array(list(itertools.combinations(range(m), 2))).T
+    incidence = np.eye(m)[p] - np.eye(m)[q]
+    scale = 2.0 * np.sqrt(tau)[:, None]
+    z = (x[:, q] - x[:, p]) / scale
+    a = erf(z)
+    e = (2.0 / math.sqrt(math.pi)) * np.exp(-z * z) / scale
+    if m == 2:
+        # Pf A = a_01, the 2x2 skew inverse is -1/a_01, and cond_1(A) = 1
+        log_pf = np.log(a[:, 0])
+        inv = -1.0 / a
+    else:
+        # (A^-1)_pq = (-1)^(p+q) Pf(A without rows/cols p, q) / Pf A; each
+        # minor is the Pfaffian of a smaller chamber point, so positive
+        full = np.zeros((paths, m, m))
+        full[:, p, q] = a
+        full[:, q, p] = -a
+        rest = np.array([[k for k in range(m) if k != i and k != j] for i, j in zip(p, q)])
+        log_pf = 0.5 * np.linalg.slogdet(full)[1]
+        log_minor = 0.5 * np.linalg.slogdet(full[:, rest[:, :, None], rest[:, None, :]])[1]
+        inv = np.where((p + q) % 2, -1.0, 1.0) * np.exp(log_minor - log_pf[:, None])
+        # the 1-norm of a skew matrix is its largest column sum of |entries|
+        cover = np.abs(incidence)
+        cond = (np.abs(a) @ cover).max(axis=1) * (np.abs(inv) @ cover).max(axis=1)
+        estimate = cond * np.finfo(float).eps
+        worst = int(np.argmax(estimate))
+        if not estimate[worst] <= COND_LIMIT:
+            raise ValueError(
+                f"erf Pfaffian for N={n} at tau={float(tau[worst])!r} cancels: "
+                f"cond_1(A) * eps = {float(estimate[worst]):.3g} exceeds {COND_LIMIT:g}"
+            )
+    return log_pf, inv * e, incidence[:, :n]
 
 
 def survival_mc(
@@ -188,13 +252,6 @@ def survival_mc(
     return est, stderr
 
 
-def _survival_factor(tau: float, y: np.ndarray, method: str) -> float:
-    """N_N(tau, y) with the tau = 0 limit handled."""
-    if tau == 0:
-        return 1.0
-    return survival(tau, y, method=method)
-
-
 def _is_origin(x: ArrayLike | None) -> bool:
     if x is None:
         return True
@@ -208,7 +265,6 @@ def transition_inhomogeneous(
     t: float,
     y: ArrayLike,
     horizon: float,
-    survival_method: str = "auto",
 ) -> float:
     """Transition density of the walk conditioned to avoid collision up to
     the finite horizon T, in its diffusion limit.
@@ -233,15 +289,15 @@ def transition_inhomogeneous(
             - float(y @ y) / (2.0 * t)
             + log_vandermonde_h(y)
         )
-        surv = _survival_factor(horizon - t, y, survival_method)
+        surv = survival(horizon - t, y)
         if surv <= 0:
             return 0.0
         return math.exp(log_g + math.log(surv))
     x = _as_point(x)
     if x.size != n:
         raise ValueError("dimension mismatch")
-    num = _survival_factor(horizon - t, y, survival_method)
-    den = _survival_factor(horizon - s, x, survival_method)
+    num = survival(horizon - t, y)
+    den = survival(horizon - s, x)
     if num <= 0:
         return 0.0
     return math.exp(
@@ -282,58 +338,18 @@ def transition_homogeneous(
     )
 
 
-def drift_inhomogeneous(
-    t: float,
-    x: ArrayLike,
-    horizon: float,
-    survival_method: str = "auto",
-) -> np.ndarray:
-    """Drift of the finite-horizon process: grad_x log N_N(T - t, x),
-    by central finite differences."""
+def drift_inhomogeneous(t: float, x: ArrayLike, horizon: float) -> np.ndarray:
+    """Drift of the finite-horizon process: grad_x log N_N(T - t, x), from
+    the erf Pfaffian."""
     x = _as_point(x)
     if t >= horizon:
         raise ValueError("drift defined for t < T only")
-    tau = horizon - t
-    n = x.size
-    if n == 1:
-        return np.zeros(1)
-    h = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    out = np.empty(n)
-    for i in range(n):
-        up = x.copy()
-        dn = x.copy()
-        up[i] += h
-        dn[i] -= h
-        # nudged points may leave the chamber when gaps are ~h; the
-        # determinant formula extends continuously so relax strictness
-        s_up = _survival_signed(tau, up, survival_method)
-        s_dn = _survival_signed(tau, dn, survival_method)
-        if s_up <= 0 or s_dn <= 0:
-            raise ValueError("survival vanished at finite-difference probe")
-        out[i] = (math.log(s_up) - math.log(s_dn)) / (2.0 * h)
-    return out
-
-
-def _survival_signed(tau: float, x: np.ndarray, method: str) -> float:
-    """Survival evaluated without the strict-ordering precondition."""
-    if np.any(np.diff(x) <= 0):
-        # antisymmetric continuation: vanishes on the boundary
-        return 0.0
-    if tau == 0:
-        return 1.0
-    return survival(tau, x, method=method)
+    return _inhomogeneous_drift_batch(horizon)(x[None, :], np.array([t]))[0]
 
 
 def asymptotic_drift(x: ArrayLike) -> np.ndarray:
     """Long-horizon drift limit: sum_{j != i} 1 / (x_i - x_j)."""
-    x = _as_point(x)
-    n = x.size
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                out[i] += 1.0 / (x[i] - x[j])
-    return out
+    return dyson_drift(_as_point(x)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -431,30 +447,14 @@ def dyson_drift(states: np.ndarray, _t: np.ndarray | None = None) -> np.ndarray:
 
 
 def _inhomogeneous_drift_batch(
-    horizon: float, survival_method: str
+    horizon: float,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Vectorized finite-difference drift for the finite-horizon process."""
+    """Batched finite-horizon drift grad log N_N(T - t, x)."""
 
     def drift(states: np.ndarray, t_local: np.ndarray) -> np.ndarray:
-        n = states.shape[1]
         tau = np.maximum(horizon - t_local, 1e-300)
-        if n == 1:
-            return np.zeros_like(states)
-        if n == 2:
-            gap = states[:, 1] - states[:, 0]
-            h = 1e-5 * np.maximum(1.0, np.linalg.norm(states, axis=1))
-            h = np.minimum(h, 0.5 * gap)  # keep both probes inside the chamber
-            scale = 2.0 * np.sqrt(tau)
-            up = np.log(erf((gap + h) / scale))
-            dn = np.log(erf((gap - h) / scale))
-            g = (up - dn) / (2.0 * h)
-            return np.stack([-g, g], axis=1)
-        out = np.empty_like(states)
-        for k in range(states.shape[0]):
-            out[k] = drift_inhomogeneous(
-                horizon - tau[k], states[k], horizon, survival_method
-            )
-        return out
+        _, weights, incidence = _erf_pfaffian(tau, states)
+        return weights @ incidence
 
     return drift
 
@@ -571,7 +571,6 @@ def simulate_inhomogeneous(
     horizon: float,
     n_steps: int,
     rng: np.random.Generator,
-    survival_method: str = "auto",
     seed_label: int | None = None,
 ) -> SamplePath:
     """Euler-Maruyama path of the finite-horizon conditioned process,
@@ -579,9 +578,9 @@ def simulate_inhomogeneous(
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     dt = horizon / n_steps
-    surv = _origin_survival_weight(horizon, dt, survival_method)
+    surv = _origin_survival_weight(horizon, dt)
     state = sample_from_origin(n, dt, 1, rng, h_power=1, extra_weight=surv)
-    drift = _inhomogeneous_drift_batch(horizon, survival_method)
+    drift = _inhomogeneous_drift_batch(horizon)
     times = [dt]
     states = [state[0].copy()]
     for k in range(1, n_steps):
@@ -598,17 +597,14 @@ def simulate_inhomogeneous(
 
 
 def _origin_survival_weight(
-    horizon: float, t0: float, survival_method: str
+    horizon: float, t0: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     def weight(points: np.ndarray) -> np.ndarray:
         tau = horizon - t0
         if tau <= 0:
             return np.ones(points.shape[0])
-        if points.shape[1] == 2:
-            return erf((points[:, 1] - points[:, 0]) / (2.0 * math.sqrt(tau)))
-        return np.array(
-            [_survival_factor(tau, p, survival_method) for p in points]
-        )
+        log_pf, _, _ = _erf_pfaffian(np.full(points.shape[0], tau), points)
+        return np.exp(log_pf)
 
     return weight
 
@@ -661,15 +657,14 @@ def inhomogeneous_trajectories(
     n_steps: int,
     n_paths: int,
     rng: np.random.Generator,
-    survival_method: str = "auto",
 ) -> np.ndarray:
     """(n_paths, n_steps, n) finite-horizon trajectories up to t_end <= T."""
     if not 0 < t_end <= horizon:
         raise ValueError("need 0 < t_end <= T")
     dt = t_end / n_steps
-    weight = _origin_survival_weight(horizon, dt, survival_method)
+    weight = _origin_survival_weight(horizon, dt)
     states = sample_from_origin(n, dt, n_paths, rng, h_power=1, extra_weight=weight)
-    drift = _inhomogeneous_drift_batch(horizon, survival_method)
+    drift = _inhomogeneous_drift_batch(horizon)
     out = np.empty((n_paths, n_steps, n))
     out[:, 0, :] = states
     for k in range(1, n_steps):
@@ -685,15 +680,14 @@ def inhomogeneous_terminal_batch(
     n_steps: int,
     n_paths: int,
     rng: np.random.Generator,
-    survival_method: str = "auto",
 ) -> np.ndarray:
     """Terminal states at t_end <= T of many finite-horizon paths."""
     if not 0 < t_end <= horizon:
         raise ValueError("need 0 < t_end <= T")
     dt = t_end / n_steps
-    surv = _origin_survival_weight(horizon, dt, survival_method)
+    surv = _origin_survival_weight(horizon, dt)
     states = sample_from_origin(n, dt, n_paths, rng, h_power=1, extra_weight=surv)
-    drift = _inhomogeneous_drift_batch(horizon, survival_method)
+    drift = _inhomogeneous_drift_batch(horizon)
     for k in range(1, n_steps):
         _advance_batch(states, k * dt, dt, drift, rng)
     return states
@@ -708,7 +702,6 @@ def marginal_cdf_from_origin(
     lo: float | None = None,
     hi: float | None = None,
     grid_points: int = 1201,
-    survival_method: str = "auto",
 ) -> Callable[[np.ndarray], np.ndarray]:
     """CDF of one coordinate of the from-origin law at time t (N = 2 only).
 
@@ -725,7 +718,7 @@ def marginal_cdf_from_origin(
         if horizon is None:
             raise ValueError("inhomogeneous marginal needs the horizon")
         base = lambda a, b: transition_inhomogeneous(
-            0.0, None, t, np.array([a, b]), horizon, survival_method
+            0.0, None, t, np.array([a, b]), horizon
         )
     else:
         raise ValueError(f"unknown kind {kind!r}")

@@ -17,15 +17,14 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import permutations, product
 from typing import Hashable, Iterable, Sequence
 
-from ._exact import ExactNumber, det_bareiss
+from ._exact import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    ExactNumber,
+    det_bareiss,
+)
 
 Vertex = Hashable
-
-DEFAULT_ENUMERATION_CAP = 10**7
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised when a brute-force operation would exceed its tuple budget."""
 
 
 class PathGraph:

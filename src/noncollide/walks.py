@@ -17,16 +17,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._exact import det_bareiss, sample_categorical_exact
+from ._exact import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    det_bareiss,
+    sample_categorical_exact,
+)
 from .combinat import WalkRecord, canonical_start, endpoints_to_partition
 from .diffusion import chamber_constants, vandermonde_h
 from .schur import principal_specialization
-
-DEFAULT_ENUMERATION_CAP = 10**7
-
-
-class EnumerationCapError(RuntimeError):
-    pass
 
 
 class RetryCapError(RuntimeError):
