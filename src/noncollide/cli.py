@@ -186,7 +186,10 @@ def _cmd_lgv(args, cfg: RunConfig) -> int:
 
 
 def _cmd_sample_walk(args, cfg: RunConfig) -> int:
-    start = _ints(args.start)
+    start = walks.check_start(_ints(args.start))  # before --out is opened
+    for flag, value in (("--steps", args.steps), ("--n", args.n)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     rng = np.random.default_rng(cfg.seed)
     counts = walks.SurvivalCounts()
 

@@ -9,7 +9,6 @@ filling is semistandard and the encoding is a bijection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -340,12 +339,3 @@ def endpoints_to_partition(y: Sequence[int], horizon: int) -> Partition:
         if a < b:
             raise ValueError(f"endpoints {tuple(y)} not reachable without collision")
     return conjugate(Partition(ell))
-
-
-def dump_json(obj, fp=None, **kwargs):
-    """Serialize any of the combinat types (or a plain dict) to JSON."""
-    data = obj.to_json() if hasattr(obj, "to_json") else obj
-    if fp is None:
-        return json.dumps(data, sort_keys=True, **kwargs)
-    json.dump(data, fp, sort_keys=True, **kwargs)
-    return None

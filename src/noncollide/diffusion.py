@@ -516,10 +516,6 @@ def sample_from_origin(
     return out
 
 
-def _grid(t_start: float, t_end: float, n_steps: int) -> np.ndarray:
-    return np.linspace(t_start, t_end, n_steps + 1)
-
-
 def simulate_dyson(
     x0: ArrayLike | None,
     t_end: float,

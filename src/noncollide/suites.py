@@ -8,7 +8,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -566,10 +566,3 @@ SUITES: dict[str, Callable[[], list[TestReport]]] = {
     "sde": sde_structure_suite,
     "drift-limit": drift_limit_suite,
 }
-
-
-def run_suites(names: Sequence[str]) -> tuple[list[TestReport], bool]:
-    reports: list[TestReport] = []
-    for name in names:
-        reports.extend(SUITES[name]())
-    return reports, all(r.passed for r in reports)

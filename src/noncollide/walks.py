@@ -3,9 +3,11 @@
 The walk count M_N(T, y | x) between strictly increasing even starting
 positions x and endpoints y is the binomial determinant
 det[ C(T, (T + x_i - y_j)/2) ]; entries with odd argument or an argument
-outside [0, T] are zero. Exact samplers for the law conditioned on no
-collision through time T are built from these counts (one-step Doob
-transform), with rejection sampling kept as an oracle.
+outside [0, T] are zero. Survivor counts with free endpoints are
+Stembridge's Pfaffian (SurvivalCounts); they drive an exact sampler of the
+law conditioned on no collision through time T (one-step Doob transform),
+with the per-endpoint sum and rejection sampling kept as oracles.
+scaling_check takes the determinant in floating point from log ratios.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ from ._exact import (
     det_bareiss,
     sample_categorical_exact,
 )
-from .combinat import WalkRecord, canonical_start, endpoints_to_partition
+from .combinat import WalkRecord, canonical_start
 from .diffusion import chamber_constants, vandermonde_h
-from .schur import principal_specialization
 
 
 class RetryCapError(RuntimeError):
     pass
 
 
-def _check_start(x: Sequence[int]) -> tuple[int, ...]:
+def check_start(x: Sequence[int]) -> tuple[int, ...]:
+    """The start as a tuple of ints; raises unless even and strictly increasing."""
     x = tuple(int(v) for v in x)
     for v in x:
         if v % 2 != 0:
@@ -43,57 +45,25 @@ def _check_start(x: Sequence[int]) -> tuple[int, ...]:
     return x
 
 
-# For the diffusion-scaling comparison the horizon is ~L^2 and a single
-# math.comb costs seconds; successive entries of the same row are derived
-# from a cached neighbour by exact ratio steps instead.
-_COMB_ROW_THRESHOLD = 4096
-_COMB_WALK_LIMIT = 10_000
-_comb_rows: dict[int, dict[int, int]] = {}
-
-
-def _comb(n: int, k: int) -> int:
-    if n < _COMB_ROW_THRESHOLD:
-        return math.comb(n, k)
-    row = _comb_rows.setdefault(n, {})
-    value = row.get(k)
-    if value is not None:
-        return value
-    if row:
-        k0 = min(row, key=lambda kk: abs(kk - k))
-        if abs(k0 - k) <= _COMB_WALK_LIMIT:
-            value = row[k0]
-            while k0 < k:
-                value = value * (n - k0) // (k0 + 1)
-                k0 += 1
-            while k0 > k:
-                value = value * k0 // (n - k0 + 1)
-                k0 -= 1
-    if value is None:
-        value = math.comb(n, k)
-    row[k] = value
-    return value
-
-
-def _binom_entry(horizon: int, x: int, y: int) -> int:
-    num = horizon + x - y
-    if num % 2 != 0:
-        return 0
-    k = num // 2
-    if not 0 <= k <= horizon:
-        return 0
-    return _comb(horizon, k)
-
-
 def count_vicious(x: Sequence[int], y: Sequence[int], horizon: int) -> int:
-    """Number of nonintersecting walk realizations x -> y in T steps."""
+    """Number of nonintersecting walk realizations x -> y in T steps.
+
+    Exact at any horizon, keeping nothing between calls: one math.comb at
+    the smallest k, then C(T, k+g) = C(T, k) perm(T-k, g) // perm(k+g, g).
+    """
     x = tuple(int(v) for v in x)
     y = tuple(int(v) for v in y)
     if len(x) != len(y):
         raise ValueError("start and end must have the same number of walkers")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    matrix = [[_binom_entry(horizon, xi, yj) for yj in y] for xi in x]
-    return det_bareiss(matrix)
+    # k = -1 stands for an odd argument: a zero entry, like k outside [0, T]
+    ks = [[(horizon + a - b) // 2 if (a - b - horizon) % 2 == 0 else -1 for b in y] for a in x]
+    wanted = sorted({k for row in ks for k in row if 0 <= k <= horizon})
+    binom = {k: math.comb(horizon, k) for k in wanted[:1]}
+    for prev, k in zip(wanted, wanted[1:]):
+        binom[k] = binom[prev] * math.perm(horizon - prev, k - prev) // math.perm(k, k - prev)
+    return det_bareiss([[binom.get(k, 0) for k in row] for row in ks])
 
 
 def count_canonical(y: Sequence[int], n_walkers: int, horizon: int) -> int:
@@ -131,7 +101,7 @@ def iter_nonintersecting(
     x: Sequence[int], horizon: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[WalkRecord]:
     """All nonintersecting walks from x over the horizon, any endpoint."""
-    x = _check_start(x)
+    x = check_start(x)
     n = len(x)
     if (2**n) ** horizon > cap:
         raise EnumerationCapError(f"2^(N*T) = 2^{n * horizon} exceeds cap {cap}")
@@ -204,7 +174,7 @@ def _reachable_endpoints(x: tuple[int, ...], s: int) -> Iterator[tuple[int, ...]
 
 def count_table(x: Sequence[int], horizon: int) -> CountTable:
     """Exact endpoint law of the surviving walks from x."""
-    x = _check_start(x)
+    x = check_start(x)
     n = len(x)
     counts: dict[tuple[int, ...], int] = {}
     denom = 2 ** (n * horizon)
@@ -217,8 +187,16 @@ def count_table(x: Sequence[int], horizon: int) -> CountTable:
 
 
 class SurvivalCounts:
-    """Memoized survivor counts W(a, s) = sum_y M_N(s, y | a), the sum of
-    the binomial determinants over the reachable endpoint set.
+    """Memoized survivor counts W(a, s): the walks from a that survive s
+    steps, whatever their endpoints.
+
+    Stembridge's Pfaffian for nonintersecting paths with free endpoints:
+    with G_i(v) = C(s, (s + a_i - v)/2) the walks from a_i to v,
+    W = Pf Q where Q_ij = sum_{v<w} G_i(v) G_j(w) - G_i(w) G_j(v), taken
+    with prefix sums over one window of endpoints. Odd N borders Q with a
+    row and column of the walk totals 2^s. Since det Q = (Pf Q)^2 and
+    W >= 0, W is the integer square root of a Bareiss determinant. The sum
+    of M_N(s, y | a) over endpoints (count_table) is the oracle.
 
     Grows while sampling, then read-mostly; one instance may be shared by
     samplers drawing from the same conditioned family.
@@ -231,9 +209,21 @@ class SurvivalCounts:
         key = (a, s)
         got = self._cache.get(key)
         if got is None:
-            got = sum(
-                count_vicious(a, y, s) for y in _reachable_endpoints(a, s)
-            )
+            # G_i(v) on the window v = min(a) - s, min(a) - s + 2, ..., max(a) + s
+            base = min(a, default=0)
+            g = np.zeros((len(a), (max(a, default=0) - base) // 2 + s + 1), dtype=object)
+            row = [math.comb(s, k) for k in range(s + 1)]
+            for gi, ai in zip(g, a):
+                first = (ai - base) // 2
+                gi[first : first + s + 1] = row
+            d = (np.cumsum(g, axis=1) - g) @ g.T  # sum_{v<w} G_i(v) G_j(w), in ints
+            q = (d - d.T).tolist()
+            if len(a) % 2:
+                q = [qi + [2**s] for qi in q] + [[-(2**s)] * len(a) + [0]]
+            det = det_bareiss(q)
+            got = math.isqrt(det)
+            if got * got != det:
+                raise AssertionError(f"Stembridge determinant at {a!r}, s={s} is not a square")
             self._cache[key] = got
         return got
 
@@ -250,8 +240,10 @@ def sample_conditioned(
     taken with probability W(b, s-1) / W(a, s) where W counts surviving
     continuations. The integer weights make each categorical draw exact.
     """
-    x = _check_start(x)
+    x = check_start(x)
     n = len(x)
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     counts = counts if counts is not None else SurvivalCounts()
     if counts(x, horizon) == 0:
         raise ValueError("zero survival probability: cannot condition")
@@ -286,7 +278,7 @@ def rejection_sample(
     max_retries: int = 10**6,
 ) -> WalkRecord:
     """Oracle sampler: draw unconditioned step matrices until one survives."""
-    x = _check_start(x)
+    x = check_start(x)
     n = len(x)
     for _ in range(max_retries):
         steps = rng.integers(0, 2, size=(n, horizon)) * 2 - 1
@@ -308,6 +300,9 @@ def floor_scale(value: float, scale: float) -> int:
     return 2 * math.floor(scale * value / 2.0)
 
 
+SCALING_COND_LIMIT = 1e-6  # largest cond_1 * eps scaling_check may return at
+
+
 def scaling_check(
     x: Sequence[int],
     t: float,
@@ -317,10 +312,20 @@ def scaling_check(
     """Compare the rescaled walk-count density against its diffusion limit.
 
     Left side: (L/2)^N * 2^(-N*T') * M_N(T', y' | x) with T' = 2*floor(L^2
-    t/2) and y'_i = 2*floor(L y_i/2). Right side: c'_N t^(-N^2/2) h_N(x/L)
-    exp(-|y|^2/(2t)) h_N(y). Their ratio tends to 1 as L grows.
+    t/2) and y'_i = 2*floor(L y_i/2), in floating point. Entries are
+    C(T', k)/C(T', T'/2), sums of log1p((T' - 2m - 1)/(m + 1)) from the mode,
+    scaled to the largest of their row; the row scales and 2^(-T') C(T', T'/2)
+    = Gamma(T'/2 + 1/2)/(sqrt(pi) Gamma(T'/2 + 1)) join slogdet in one log
+    factor. The determinant cancels like L^(-N(N-1)/2): a ValueError is raised
+    when cond_1 of the scaled matrix times eps exceeds SCALING_COND_LIMIT.
+    Right side: c'_N t^(-N^2/2) h_N(x/L) exp(-|y|^2/(2t)) h_N(y). Their
+    ratio tends to 1 as L grows.
     """
-    x = _check_start(x)
+    from scipy.special import poch
+
+    if not (t > 0 and scale > 0):
+        raise ValueError(f"scaling check needs t > 0 and scale > 0, got t={t!r}, scale={scale!r}")
+    x = check_start(x)
     n = len(x)
     y = tuple(float(v) for v in y)
     if len(y) != n:
@@ -332,11 +337,24 @@ def scaling_check(
             raise ValueError(
                 f"rounded endpoint configuration degenerate at L={scale}: {y_lattice}"
             )
-    m = count_vicious(x, y_lattice, horizon)
-    v = Fraction(m, 2 ** (n * horizon))
-    # exact until the final float conversion; the huge count and the huge
-    # power of two mostly cancel
-    lhs = float(v * (Fraction(scale) / 2) ** n)
+    mid = horizon // 2
+    k = (horizon + np.array(x)[:, None] - np.array(y_lattice)[None, :]) // 2
+    reach = (k >= 0) & (k <= horizon)
+    k = np.clip(k, 0, horizon)
+    lo, hi = min(int(k.min()), mid), max(int(k.max()), mid)
+    m = np.arange(lo, hi)
+    log_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((horizon - 2.0 * m - 1) / (m + 1)))))
+    log_entry = np.where(reach, log_ratio[k - lo] - log_ratio[mid - lo], -np.inf)
+    row_scale = log_entry.max(axis=1)
+    scaled = np.exp(log_entry - row_scale[:, None])
+    cancel = np.linalg.cond(scaled, 1) * np.finfo(float).eps
+    if not cancel <= SCALING_COND_LIMIT:
+        raise ValueError(f"scaling determinant at L={scale} cancels: cond_1 * eps = "
+                         f"{cancel:.3g} exceeds {SCALING_COND_LIMIT:g}")
+    sign, log_det = np.linalg.slogdet(scaled)
+    log_central = -math.log(math.sqrt(math.pi) * poch(mid + 0.5, 0.5))
+    log_lhs = float(log_det + row_scale.sum()) + n * (log_central + math.log(scale / 2))
+    lhs = float(sign) * math.exp(log_lhs)
 
     c = chamber_constants(n).c_prime
     xs = np.fromiter(x, dtype=float) / scale

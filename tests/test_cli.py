@@ -246,3 +246,29 @@ def test_scaling_check_output(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["relative_error"] < 0.05
+
+
+@pytest.mark.parametrize("flags", [["--t", "0", "--scale", "50"], ["--t", "1", "--scale", "-5"]])
+def test_scaling_check_rejects_nonpositive(flags, capsys):
+    code, out, err = run_cli(
+        ["scaling-check", "--start", "0,2", "--y", "-1,1"] + flags, capsys
+    )
+    assert code == 1 and out == ""
+    assert "needs t > 0 and scale > 0" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--start", "1,4", "--steps", "3", "--n", "2"], "start position 1 is odd"),
+        (["--start", "2,0", "--steps", "3", "--n", "2"], "not strictly increasing"),
+        (["--start", "0,2", "--steps", "-1", "--n", "2"], "--steps must be nonnegative"),
+        (["--start", "0,2", "--steps", "3", "--n", "-1"], "--n must be nonnegative"),
+    ],
+)
+def test_sample_walk_rejects_bad_input_before_writing(tmp_path, flags, message, capsys):
+    out = tmp_path / "walks.csv"
+    code, _, err = run_cli(["sample-walk"] + flags + ["--out", str(out)], capsys)
+    assert code == 1
+    assert message in err
+    assert not out.exists()
