@@ -3,8 +3,11 @@ simulation, and verification with reproducible seeds.
 
 Sampling commands write CSV with a fixed header preceded by a ``# seed=``
 comment line; rerunning any of them with identical flags and seed produces
-byte-identical output. Scalar commands print their value (exact integers
-and rationals in full decimal, never scientific notation).
+byte-identical output. The simulate commands write one chunk of paths at a
+time, each path formatted as one text block; floats are written with
+``repr``, so ``verify-sde`` reads back the exact values. Scalar commands
+print their value (exact integers and rationals in full decimal, never
+scientific notation).
 """
 
 from __future__ import annotations
@@ -12,15 +15,18 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import decimal
 import filecmp
 import json
+import math
 import re
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,32 +79,39 @@ def _open_out(cfg: RunConfig):
         yield stream
 
 
+def _text(value) -> str:
+    """``str(value)``, with integers and rationals in full decimal at any
+    length (``str(int)`` stops at 4300 digits, ``Decimal`` does not)."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _text(value.numerator)
+        return f"{_text(value.numerator)}/{_text(value.denominator)}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(decimal.Decimal(value))
+    return str(value)
+
+
 def _emit_value(cfg: RunConfig, value, extra: dict | None = None) -> None:
     with _open_out(cfg) as stream:
         if cfg.fmt == "json":
-            payload = {"seed": cfg.seed, "value": str(value)}
+            payload = {"seed": cfg.seed, "value": _text(value)}
             if extra:
                 payload.update(extra)
             print(json.dumps(payload, sort_keys=True), file=stream)
         else:
-            print(value, file=stream)
+            print(_text(value), file=stream)
 
 
-def _write_rows(cfg: RunConfig, header: Sequence[str], rows) -> None:
-    """Stream rows as CSV with the seed echoed in a comment header."""
+def _write_rows(cfg: RunConfig, header: Sequence[str], blocks: Iterable[str]) -> None:
+    """Write CSV text blocks (whole lines) after the seed comment and the
+    header. ``blocks`` is consumed lazily, so a refused format costs no work."""
     if cfg.fmt == "json":
         raise ValueError("sampling output is CSV only; use --format csv")
     with _open_out(cfg) as stream:
         stream.write(f"# seed={cfg.seed}\n")
         stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+        for block in blocks:
+            stream.write(block)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +192,7 @@ def _cmd_lgv(args, cfg: RunConfig) -> int:
         _emit_value(cfg, det, extra)
     else:
         with _open_out(cfg) as stream:
-            print(det, file=stream)
+            print(_text(det), file=stream)
             if args.check_compatibility:
                 print(f"compatible: {str(extra['compatible']).lower()}", file=stream)
     return 0
@@ -193,14 +206,16 @@ def _cmd_sample_walk(args, cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     counts = walks.SurvivalCounts()
 
-    def rows():
+    def blocks():
         for sample_id in range(args.n):
             record = walks.sample_conditioned(start, args.steps, rng, counts)
-            for t, positions in enumerate(record.positions()):
-                for walker_id, position in enumerate(positions):
-                    yield (sample_id, t, walker_id, position)
+            yield "".join(
+                f"{sample_id},{t},{walker_id},{position}\n"
+                for t, positions in enumerate(record.positions())
+                for walker_id, position in enumerate(positions)
+            )
 
-    _write_rows(cfg, ("sample_id", "t", "walker_id", "position"), rows())
+    _write_rows(cfg, ("sample_id", "t", "walker_id", "position"), blocks())
     return 0
 
 
@@ -274,26 +289,31 @@ def _matrix_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
     return rmt.eigen_trajectories(args.n, args.t, args.steps, size, rng)
 
 
+CHUNK_VALUES = 2_000_000  # simulated values per chunk of paths
+
+
 def _simulate_particles(args, cfg: RunConfig, chunk_fn) -> int:
     if args.steps < 1 or args.paths < 1 or args.n < 1:
         raise ValueError("need positive --n, --steps and --paths")
     dt = args.t / args.steps
-    grid = [(k + 1) * dt for k in range(args.steps)]
-    chunk = max(1, 2_000_000 // (args.steps * args.n))
+    chunk = max(1, CHUNK_VALUES // (args.steps * args.n))
     sizes = _chunk_sizes(args.paths, chunk)
+    # the ",t,i," middle of every row of a path, in (t, i) order
+    mids = [f",{(k + 1) * dt!r},{i}," for k in range(args.steps) for i in range(args.n)]
 
-    def rows():
-        path_base = 0
+    def blocks():
+        pid = 0
         for block in _parallel_chunks(
             cfg, sizes, lambda size, rng: chunk_fn(args, size, rng)
         ):
-            for p in range(block.shape[0]):
-                for k, t in enumerate(grid):
-                    for i in range(args.n):
-                        yield (path_base + p, t, i, block[p, k, i])
-            path_base += block.shape[0]
+            for values in block.reshape(block.shape[0], -1):
+                head = str(pid)
+                yield "".join(
+                    [head + mid + repr(v) + "\n" for mid, v in zip(mids, values.tolist())]
+                )
+                pid += 1
 
-    _write_rows(cfg, ("path_id", "t", "i", "value"), rows())
+    _write_rows(cfg, ("path_id", "t", "i", "value"), blocks())
     return 0
 
 
@@ -344,12 +364,11 @@ def _density_grid(args, cfg: RunConfig, x) -> int:
             return diffusion.transition_homogeneous(args.s, x, args.t, y)
         raise ValueError("grid output supports kinds km, g, p")
 
-    def rows():
-        for a in ys:
-            for b in ys:
-                yield (float(a), float(b), joint(float(a), float(b)))
+    def blocks():
+        for a in ys.tolist():
+            yield "".join(f"{a!r},{b!r},{float(joint(a, b))!r}\n" for b in ys.tolist())
 
-    _write_rows(cfg, ("y1", "y2", "value"), rows())
+    _write_rows(cfg, ("y1", "y2", "value"), blocks())
     return 0
 
 
@@ -382,30 +401,33 @@ def _cmd_verify_sde(args, cfg: RunConfig) -> int:
 
 
 def _read_paths_csv(path: str) -> list[diffusion.SamplePath]:
-    by_path: dict[int, dict[float, dict[int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("path_id"):
-                continue
-            pid, t, i, v = line.split(",")
-            by_path.setdefault(int(pid), {}).setdefault(float(t), {})[int(i)] = float(v)
-    out = []
-    for pid in sorted(by_path):
-        times = sorted(by_path[pid])
-        states = np.array(
-            [[by_path[pid][t][i] for i in sorted(by_path[pid][t])] for t in times]
+    """The paths of a simulate CSV (seed line, header, then path_id,t,i,value
+    rows in any order). Every (path_id, t, i) of the full grid must appear
+    exactly once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is refused below
+        data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2, ndmin=2)
+    if data.shape[0] == 0 or data.shape[1] != 4:
+        raise ValueError(f"{path}: expected rows of path_id,t,i,value")
+    pid, t, i, value = data.T
+    order = np.lexsort((i, t, pid))
+    axes = (np.unique(pid), np.unique(t), np.unique(i))
+    shape = tuple(a.size for a in axes)
+    expected = math.prod(shape)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    if data.shape[0] != expected or not np.array_equal(data[order, :3], grid):
+        raise ValueError(
+            f"{path}: expected paths*steps*N = {shape[0]}*{shape[1]}*{shape[2]} "
+            f"= {expected} rows, one per (path_id, t, i); found {data.shape[0]}"
         )
-        out.append(
-            diffusion.SamplePath(
-                times=np.array(times),
-                states=states,
-                seed=None,
-                step_size=times[1] - times[0] if len(times) > 1 else 0.0,
-                integrator="csv",
-            )
+    times = axes[1]
+    step = float(times[1] - times[0]) if times.size > 1 else 0.0
+    return [
+        diffusion.SamplePath(
+            times=times, states=states, seed=None, step_size=step, integrator="csv"
         )
-    return out
+        for states in value[order].reshape(shape)
+    ]
 
 
 DETERMINISM_COMMANDS: list[list[str]] = [

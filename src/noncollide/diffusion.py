@@ -459,6 +459,16 @@ def _inhomogeneous_drift_batch(
     return drift
 
 
+def _gue_start(n: int, t0: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact draws from the from-origin h^2 law at t0, exp(-|y|^2/2 t0) h_N(y)^2:
+    the eigenvalues of a GUE matrix with E|H_ij|^2 = t0 (Dyson 1962)."""
+    if n < 1 or size < 1:
+        raise ValueError("need n >= 1 and size >= 1")
+    from .rmt import eigen_terminal_batch  # rmt imports this module
+
+    return eigen_terminal_batch(n, t0, size, rng)
+
+
 def sample_from_origin(
     n: int,
     t0: float,
@@ -477,7 +487,8 @@ def sample_from_origin(
         ratio = h^p * extra * exp(-|y|^2 / 4 t0)
              <= (2 r)^(p K) exp(-r^2 / 4 t0) =: f(r),   K = N(N-1)/2,
 
-    maximized at r* = sqrt(2 p K t0).
+    maximized at r* = sqrt(2 p K t0). The acceptance rate falls fast with N;
+    the h^2 start of the Dyson process is drawn by ``_gue_start`` instead.
     """
     if n < 1 or size < 1:
         raise ValueError("need n >= 1 and size >= 1")
@@ -539,7 +550,7 @@ def simulate_dyson(
             if x0 is None:
                 raise ValueError("dimension n required for an origin start")
             n = len(np.atleast_1d(np.asarray(x0)))
-        state = sample_from_origin(n, dt, 1, rng, h_power=2)
+        state = _gue_start(n, dt, 1, rng)
         times = [dt]
         first_step = 1
     else:
@@ -616,7 +627,7 @@ def dyson_terminal_batch(
     """Terminal states of many independent Dyson paths (vectorized)."""
     dt = t_end / n_steps
     if _is_origin(x0):
-        states = sample_from_origin(n, dt, n_paths, rng, h_power=2)
+        states = _gue_start(n, dt, n_paths, rng)
         first_step = 1
     else:
         x0 = _as_point(x0)
@@ -637,7 +648,7 @@ def dyson_trajectories(
     """(n_paths, n_steps, n) from-origin trajectories on the grid
     dt, 2 dt, ..., t_end."""
     dt = t_end / n_steps
-    states = sample_from_origin(n, dt, n_paths, rng, h_power=2)
+    states = _gue_start(n, dt, n_paths, rng)
     out = np.empty((n_paths, n_steps, n))
     out[:, 0, :] = states
     for k in range(1, n_steps):

@@ -373,13 +373,8 @@ def gamma_from_increments(
     U is the phased eigenbasis of the state before each increment; for the
     Hermitian Brownian increments every entry has expectation 1.
     """
-    n_steps = increments.shape[0]
-    n = increments.shape[1]
-    path = np.empty((n_steps, n, n), dtype=complex)
-    acc = np.asarray(start, dtype=complex).copy()
-    for k in range(n_steps):
-        path[k] = acc
-        acc += increments[k]
+    start = np.asarray(start, dtype=complex)
+    path = np.cumsum(np.concatenate([start[None], increments[:-1]]), axis=0)
     _, u = np.linalg.eigh(path)
     rotated = np.einsum("kji,kjl,klm->kim", u.conj(), increments, u)
     return (rotated * np.swapaxes(rotated, 1, 2)).real.mean(axis=0) / dt

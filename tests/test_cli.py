@@ -1,8 +1,13 @@
+import decimal
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noncollide import cli
 
@@ -272,3 +277,170 @@ def test_sample_walk_rejects_bad_input_before_writing(tmp_path, flags, message, 
     assert code == 1
     assert message in err
     assert not out.exists()
+
+
+def test_count_beyond_int_str_limit(capsys):
+    # 96,320 digits, past CPython's 4300-digit int-to-str limit
+    code, out, err = run_cli(
+        ["count", "--start", "0,2", "--end", "0,2", "--steps", "160000"], capsys
+    )
+    assert code == 0, err
+    digits = out.strip()
+    assert len(digits) == 96_320 and digits.isdigit()
+    # Lindstrom-Gessel-Viennot for two walkers: C(T,T/2)^2 - C(T,T/2+1)^2
+    exact = math.comb(160_000, 80_000) ** 2 - math.comb(160_000, 80_001) ** 2
+    assert decimal.Decimal(digits) == decimal.Decimal(exact)
+    code, out, err = run_cli(
+        ["count", "--start", "0,2", "--end", "0,2", "--steps", "8000", "--format", "json"],
+        capsys,
+    )
+    assert code == 0, err
+    value = json.loads(out)["value"]
+    exact = math.comb(8000, 4000) ** 2 - math.comb(8000, 4001) ** 2
+    assert len(value) > 4300 and decimal.Decimal(value) == decimal.Decimal(exact)
+
+
+def test_simulate_dyson_six_from_origin_finishes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "noncollide.cli", "simulate-dyson", "--n", "6",
+         "--t", "1", "--steps", "100", "--paths", "20"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2 + 20 * 100 * 6
+
+
+# sha256 of outputs written by the per-value CSV writer this one replaced,
+# with CHUNK_VALUES = 1000 so the paths span several chunks
+PINNED_CHUNKED = [
+    (
+        ["simulate-matrix", "--n", "4", "--t", "1", "--steps", "50", "--paths", "12",
+         "--seed", "2024"],
+        "6e29b6cec25f308278e1b4c8adc622385f9dda299887636a9501a4878881b2fc",
+    ),
+    (
+        ["simulate-inhomogeneous", "--n", "2", "--horizon", "1.5", "--t", "1",
+         "--steps", "50", "--paths", "12", "--seed", "7"],
+        "1f725f1ecd87e663c9486a69dde1e4a7ba2f5a04f16df9fa90c25aa148210738",
+    ),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("argv, digest", PINNED_CHUNKED)
+def test_chunked_simulate_csv_is_pinned(argv, digest, threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "CHUNK_VALUES", 1000)
+    out = tmp_path / "paths.csv"
+    code, _, err = run_cli(argv + ["--threads", threads, "--out", str(out)], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _write_fixed_paths(states, out, monkeypatch, chunk_values=None):
+    """Write ``states`` (paths, steps, N) through the simulate-matrix writer."""
+    paths, steps, n = states.shape
+    if chunk_values is not None:
+        monkeypatch.setattr(cli, "CHUNK_VALUES", chunk_values)
+    offset = 0
+
+    def fake_chunk(args, size, rng):
+        nonlocal offset
+        block = states[offset : offset + size]
+        offset += size
+        return block
+
+    monkeypatch.setattr(cli, "_matrix_chunk", fake_chunk)
+    code = cli.run(
+        ["simulate-matrix", "--n", str(n), "--t", "1", "--steps", str(steps),
+         "--paths", str(paths), "--seed", "3", "--out", str(out)]
+    )
+    assert code == 0
+
+
+def test_simulate_csv_matches_per_value_formatting(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    scale = 10.0 ** rng.integers(-9, 17, (7, 5, 3))  # values in exponent form too
+    states = np.sort(rng.standard_normal((7, 5, 3)) * scale, axis=2)
+    out = tmp_path / "paths.csv"
+    _write_fixed_paths(states, out, monkeypatch, chunk_values=30)  # two paths a chunk
+    dt = 1 / 5
+    lines = ["# seed=3", "path_id,t,i,value"]
+    for p in range(7):
+        for k in range(5):
+            for i in range(3):
+                lines.append(",".join([str(p), repr(float((k + 1) * dt)), str(i),
+                                       repr(float(states[p, k, i]))]))
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e-7, -1e-7, 1e16, 1.5e16, 5e-324, 0.1, 1 / 3]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_simulate_csv_round_trip_is_exact(shape, data, tmp_path_factory):
+    paths, steps, n = shape
+    values = data.draw(st.lists(_finite, min_size=paths * steps * n,
+                                max_size=paths * steps * n, unique=True))
+    states = np.sort(np.array(values).reshape(shape), axis=2)
+    out = tmp_path_factory.mktemp("rt") / "paths.csv"
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _write_fixed_paths(states, out, monkeypatch)
+    read = cli._read_paths_csv(str(out))
+    dt = 1 / steps
+    assert len(read) == paths
+    for p, path in enumerate(read):
+        assert np.array_equal(path.states, states[p])
+        assert np.array_equal(path.times, [(k + 1) * dt for k in range(steps)])
+        assert path.step_size == (2 * dt - dt if steps > 1 else 0.0)
+
+
+def _paths_csv_lines(tmp_path, capsys):
+    out = tmp_path / "eig.csv"
+    code, _, err = run_cli(
+        ["simulate-matrix", "--n", "2", "--t", "1", "--steps", "4", "--paths", "3",
+         "--seed", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0, err
+    return out, out.read_text().splitlines(keepends=True)
+
+
+def test_paths_csv_reads_rows_in_any_order(tmp_path, capsys):
+    out, lines = _paths_csv_lines(tmp_path, capsys)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join(lines[:2] + lines[:1:-1]))
+    for a, b in zip(cli._read_paths_csv(str(out)), cli._read_paths_csv(str(shuffled))):
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+
+
+def test_verify_sde_rejects_duplicated_row(tmp_path, capsys):
+    out, lines = _paths_csv_lines(tmp_path, capsys)
+    out.write_text("".join(lines[:7] + [lines[5]] + lines[7:]))
+    code, _, err = run_cli(["verify-sde", "--in", str(out), "--gamma-steps", "10"], capsys)
+    assert code == 1
+    assert str(out) in err and "3*4*2 = 24 rows" in err and "found 25" in err
+
+
+def test_verify_sde_rejects_missing_row(tmp_path, capsys):
+    out, lines = _paths_csv_lines(tmp_path, capsys)
+    out.write_text("".join(lines[:7] + lines[8:]))
+    code, _, err = run_cli(["verify-sde", "--in", str(out), "--gamma-steps", "10"], capsys)
+    assert code == 1
+    assert str(out) in err and "3*4*2 = 24 rows" in err and "found 23" in err
+
+
+def test_schur_prints_long_rationals(capsys):
+    # s_(15000)(1/2) = 1/2^15000, a denominator of 4516 digits
+    code, out, err = run_cli(
+        ["schur", "--shape", "15000", "--points", "1/2", "--method", "bialternant"], capsys
+    )
+    assert code == 0, err
+    assert out.strip() == "1/" + str(decimal.Decimal(2**15000))

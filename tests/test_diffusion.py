@@ -283,3 +283,20 @@ def test_trajectories_shapes():
     assert i.shape == (7, 16, 2)
     assert np.all(np.diff(d, axis=2) > 0)
     assert np.all(np.diff(i, axis=2) > 0)
+
+
+def test_gue_start_matches_rejection_oracle():
+    # the Dyson from-origin start (GUE eigenvalues at t0) has the h^2 law that
+    # rejection sampling targets; compare every coordinate at N = 3
+    from scipy.stats import ks_2samp
+
+    from noncollide.diffusion import _gue_start
+
+    t0 = 0.1
+    gue = _gue_start(3, t0, 3000, np.random.default_rng(61))
+    oracle = sample_from_origin(3, t0, 3000, np.random.default_rng(62), h_power=2)
+    assert np.all(np.diff(gue, axis=1) > 0)
+    for coord in range(3):
+        assert ks_2samp(gue[:, coord], oracle[:, coord]).pvalue > 1e-3
+    with pytest.raises(ValueError):
+        _gue_start(0, t0, 5, np.random.default_rng(0))

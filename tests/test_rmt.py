@@ -191,3 +191,20 @@ def test_gamma_from_increments_direct():
     inc = hermitian_increment_batch(2, 1e-3, rng, 5_000)
     gamma = gamma_from_increments(start, inc, 1e-3)
     assert np.max(np.abs(gamma - 1.0)) < 0.1
+
+
+def test_gamma_path_equals_sequential_sums():
+    # reference: the matrix path accumulated one increment at a time
+    rng = np.random.default_rng(71)
+    for n, steps in ((1, 7), (3, 300), (4, 1)):
+        start = hermitian_increment_batch(n, 1.0, rng, 1)[0]
+        increments = hermitian_increment_batch(n, 1e-3, rng, steps)
+        path = np.empty((steps, n, n), dtype=complex)
+        acc = start.copy()
+        for k in range(steps):
+            path[k] = acc
+            acc += increments[k]
+        _, u = np.linalg.eigh(path)
+        rotated = np.einsum("kji,kjl,klm->kim", u.conj(), increments, u)
+        expected = (rotated * np.swapaxes(rotated, 1, 2)).real.mean(axis=0) / 1e-3
+        assert np.array_equal(gamma_from_increments(start, increments, 1e-3), expected)
