@@ -240,16 +240,6 @@ def _cmd_scaling_check(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _chunk_sizes(total: int, chunk: int) -> list[int]:
-    out = []
-    left = total
-    while left > 0:
-        take = min(chunk, left)
-        out.append(take)
-        left -= take
-    return out
-
-
 def _parallel_chunks(
     cfg: RunConfig,
     sizes: Sequence[int],
@@ -271,33 +261,37 @@ def _parallel_chunks(
             yield fut.result()
 
 
-def _cmd_simulate_dyson(args, cfg: RunConfig) -> int:
-    return _simulate_particles(args, cfg, _dyson_chunk)
-
-
 def _dyson_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
-    return diffusion.dyson_trajectories(args.n, args.t, args.steps, size, rng)
+    return diffusion.trajectories("dyson", args.n, args.t, args.steps, size, rng)
 
 
 def _inhomogeneous_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
-    return diffusion.inhomogeneous_trajectories(
-        args.n, args.horizon, args.t, args.steps, size, rng
+    return diffusion.trajectories(
+        "finite-horizon", args.n, args.t, args.steps, size, rng, horizon=args.horizon
     )
 
 
 def _matrix_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
-    return rmt.eigen_trajectories(args.n, args.t, args.steps, size, rng)
+    return diffusion.trajectories("matrix", args.n, args.t, args.steps, size, rng)
 
 
 CHUNK_VALUES = 2_000_000  # simulated values per chunk of paths
 
 
-def _simulate_particles(args, cfg: RunConfig, chunk_fn) -> int:
+def _cmd_simulate(args, cfg: RunConfig) -> int:
+    if args.process == "finite-horizon" and args.t > args.horizon:
+        raise ValueError("--t must not exceed --horizon")
     if args.steps < 1 or args.paths < 1 or args.n < 1:
         raise ValueError("need positive --n, --steps and --paths")
+    # looked up per run, so a replaced chunk function is the one used
+    chunk_fn = {
+        "dyson": _dyson_chunk,
+        "finite-horizon": _inhomogeneous_chunk,
+        "matrix": _matrix_chunk,
+    }[args.process]
     dt = args.t / args.steps
     chunk = max(1, CHUNK_VALUES // (args.steps * args.n))
-    sizes = _chunk_sizes(args.paths, chunk)
+    sizes = [min(chunk, args.paths - done) for done in range(0, args.paths, chunk)]
     # the ",t,i," middle of every row of a path, in (t, i) order
     mids = [f",{(k + 1) * dt!r},{i}," for k in range(args.steps) for i in range(args.n)]
 
@@ -370,16 +364,6 @@ def _density_grid(args, cfg: RunConfig, x) -> int:
 
     _write_rows(cfg, ("y1", "y2", "value"), blocks())
     return 0
-
-
-def _cmd_simulate_matrix(args, cfg: RunConfig) -> int:
-    return _simulate_particles(args, cfg, _matrix_chunk)
-
-
-def _cmd_simulate_inhomogeneous(args, cfg: RunConfig) -> int:
-    if args.t > args.horizon:
-        raise ValueError("--t must not exceed --horizon")
-    return _simulate_particles(args, cfg, _inhomogeneous_chunk)
 
 
 def _cmd_verify_sde(args, cfg: RunConfig) -> int:
@@ -577,29 +561,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, required=True)
     p.set_defaults(func=_cmd_scaling_check)
 
-    p = add_parser("simulate-dyson", help="interacting-particle paths")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.set_defaults(func=_cmd_simulate_dyson)
-
-    p = add_parser("simulate-matrix", help="matrix-process eigenvalue paths")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.set_defaults(func=_cmd_simulate_matrix)
-
-    p = add_parser(
-        "simulate-inhomogeneous", help="finite-horizon conditioned paths"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.set_defaults(func=_cmd_simulate_inhomogeneous)
+    for command, process, help_text in (
+        ("simulate-dyson", "dyson", "interacting-particle paths"),
+        ("simulate-matrix", "matrix", "matrix-process eigenvalue paths"),
+        ("simulate-inhomogeneous", "finite-horizon", "finite-horizon conditioned paths"),
+    ):
+        p = add_parser(command, help=help_text)
+        p.add_argument("--n", type=int, required=True)
+        if process == "finite-horizon":
+            p.add_argument("--horizon", type=float, required=True)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("--paths", type=int, required=True)
+        p.set_defaults(func=_cmd_simulate, process=process)
 
     p = add_parser("density", help="evaluate densities / survival")
     p.add_argument("--kind", choices=("km", "g", "p", "survival"), required=True)

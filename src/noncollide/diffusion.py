@@ -30,20 +30,29 @@ cancels. The float determinant loses digits as the gaps shrink against
 sqrt(t); a call raises ValueError when cond_1(A) * eps exceeds
 COND_LIMIT = 1e-6. Quadrature, Monte Carlo, the N <= 2 closed form and the
 small-gap asymptotic stay as named oracle methods of ``survival``.
+
+One engine, ``grid_states``, steps all three processes (the h-transform,
+the finite-horizon process and the eigenvalues of Hermitian matrix
+Brownian motion) on the grid of step dt = t_end / n_steps. From the origin
+the grid is dt, 2 dt, ..., t_end, and the first state is drawn exactly
+(all particles coincide at t = 0); from a chamber point x0 it is
+0, dt, ..., t_end, starting with x0. ``trajectories`` stacks the states,
+``terminal`` keeps the last one and ``sample_path`` is the one-path view.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import integrate
 from scipy.special import erf
 
-from .verify import quadrature_integrate
+from .verify import grid_cdf, quadrature_integrate
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -378,15 +387,13 @@ class SamplePath:
     def n_particles(self) -> int:
         return self.states.shape[1]
 
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
-
 
 # ---------------------------------------------------------------------------
 # Euler-Maruyama with per-path dyadic step halving
 # ---------------------------------------------------------------------------
 
 MAX_HALVINGS = 40
+MAX_PROPOSALS = 10**8  # projected proposal count at which sample_from_origin gives up
 
 
 def _advance_batch(
@@ -462,11 +469,7 @@ def _inhomogeneous_drift_batch(
 def _gue_start(n: int, t0: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Exact draws from the from-origin h^2 law at t0, exp(-|y|^2/2 t0) h_N(y)^2:
     the eigenvalues of a GUE matrix with E|H_ij|^2 = t0 (Dyson 1962)."""
-    if n < 1 or size < 1:
-        raise ValueError("need n >= 1 and size >= 1")
-    from .rmt import eigen_terminal_batch  # rmt imports this module
-
-    return eigen_terminal_batch(n, t0, size, rng)
+    return terminal("matrix", n, t0, 1, size, rng)
 
 
 def sample_from_origin(
@@ -489,6 +492,8 @@ def sample_from_origin(
 
     maximized at r* = sqrt(2 p K t0). The acceptance rate falls fast with N;
     the h^2 start of the Dyson process is drawn by ``_gue_start`` instead.
+    Raises RuntimeError once the proposals that ``size`` draws would take,
+    projected from the acceptances so far plus one, exceed MAX_PROPOSALS.
     """
     if n < 1 or size < 1:
         raise ValueError("need n >= 1 and size >= 1")
@@ -501,7 +506,15 @@ def sample_from_origin(
     out = np.empty((size, n))
     filled = 0
     block = max(4 * size, 1024)
+    proposed = 0
     while filled < size:
+        if proposed * size > MAX_PROPOSALS * (filled + 1):
+            raise RuntimeError(
+                f"from-origin sampling for N={n} at t0={t0!r} accepted {filled} of "
+                f"{proposed} proposals (rate {filled / proposed:.3g}); {size} draws "
+                f"would need more than MAX_PROPOSALS = {MAX_PROPOSALS:.0e}"
+            )
+        proposed += block
         prop = np.sort(
             math.sqrt(2.0 * t0) * rng.standard_normal((block, n)), axis=1
         )
@@ -527,6 +540,118 @@ def sample_from_origin(
     return out
 
 
+# ---------------------------------------------------------------------------
+# One trajectory engine for the three processes
+# ---------------------------------------------------------------------------
+
+_INTEGRATORS = {
+    "dyson": "euler-maruyama/dyson",
+    "finite-horizon": "euler-maruyama/finite-horizon",
+    "matrix": "matrix-diagonalization",
+}
+
+
+def grid_states(
+    process: str,
+    n: int,
+    t_end: float,
+    n_steps: int,
+    n_paths: int,
+    rng: np.random.Generator,
+    x0: ArrayLike | None = None,
+    horizon: float | None = None,
+) -> Iterator[np.ndarray]:
+    """Yield the (n_paths, n) state at each time of the grid (module
+    docstring), dt = t_end / n_steps. The array yielded is the live state,
+    which the next step overwrites in place: copy what you keep.
+
+    ``process`` is "dyson" (the h-transform), "finite-horizon" (conditioned
+    to avoid collision up to ``horizon``) or "matrix" (eigenvalues of
+    Hermitian matrix Brownian motion, from zero only). Bad arguments raise
+    at the first state.
+    """
+    if process not in _INTEGRATORS:
+        raise ValueError(f"unknown process {process!r}; known: {list(_INTEGRATORS)}")
+    if n < 1 or n_steps < 1 or n_paths < 1:
+        raise ValueError("need n >= 1, n_steps >= 1 and n_paths >= 1")
+    dt = t_end / n_steps
+    if process == "matrix":
+        if not _is_origin(x0):
+            raise ValueError("the matrix process starts from zero")
+        from . import rmt  # rmt imports this module
+
+        xi = rmt.hermitian_increment_batch(n, dt, rng, n_paths)
+        yield rmt._eigvalsh_batch(xi)
+        for _ in range(1, n_steps):
+            xi += rmt.hermitian_increment_batch(n, dt, rng, n_paths)
+            yield rmt._eigvalsh_batch(xi)
+        return
+    if process == "dyson":
+        drift = dyson_drift
+    else:
+        if horizon is None:
+            raise ValueError("the finite-horizon process needs a horizon")
+        if not 0 < t_end <= horizon:
+            raise ValueError("need 0 < t_end <= T")
+        drift = _inhomogeneous_drift_batch(horizon)
+    if not _is_origin(x0):
+        x0 = _as_point(x0)
+        if x0.size != n:
+            raise ValueError(f"x0 has {x0.size} coordinates, expected n = {n}")
+        states, first_step = np.tile(x0, (n_paths, 1)), 0
+    elif process == "dyson":
+        states, first_step = _gue_start(n, dt, n_paths, rng), 1
+    else:
+
+        def survival_weight(y: np.ndarray) -> np.ndarray:
+            if horizon - dt <= 0:
+                return np.ones(y.shape[0])
+            return np.exp(_erf_pfaffian(np.full(y.shape[0], horizon - dt), y)[0])
+
+        states = sample_from_origin(
+            n, dt, n_paths, rng, h_power=1, extra_weight=survival_weight
+        )
+        first_step = 1
+    yield states
+    for k in range(first_step, n_steps):
+        _advance_batch(states, k * dt, dt, drift, rng)
+        yield states
+
+
+def trajectories(
+    process: str,
+    n: int,
+    t_end: float,
+    n_steps: int,
+    n_paths: int,
+    rng: np.random.Generator,
+    x0: ArrayLike | None = None,
+    horizon: float | None = None,
+) -> np.ndarray:
+    """The states of ``grid_states`` copied into (n_paths, grid times, n)."""
+    out = np.empty((n_paths, n_steps + (not _is_origin(x0)), n))
+    states = grid_states(process, n, t_end, n_steps, n_paths, rng, x0, horizon)
+    for k, state in enumerate(states):
+        out[:, k] = state
+    return out
+
+
+def terminal(*args, **kwargs) -> np.ndarray:
+    """The last state of ``grid_states(*args, **kwargs)``; the others are
+    dropped as they come, so memory stays at one grid time."""
+    return deque(grid_states(*args, **kwargs), maxlen=1)[0]
+
+
+def sample_path(
+    process: str, t_end: float, n_steps: int, states: np.ndarray, seed_label: int | None
+) -> SamplePath:
+    """One path, ``trajectories(process, n, t_end, n_steps, 1, ...)[0]``,
+    with its grid times."""
+    dt = t_end / n_steps
+    times = np.arange(n_steps + 1 - len(states), n_steps + 1) * dt
+    return SamplePath(times, states, seed_label, dt, _INTEGRATORS[process])
+
+
 def simulate_dyson(
     x0: ArrayLike | None,
     t_end: float,
@@ -536,41 +661,13 @@ def simulate_dyson(
     seed_label: int | None = None,
 ) -> SamplePath:
     """Euler-Maruyama path of the pairwise-repulsion SDE
-    dY_i = dB_i + sum_{j != i} dt / (Y_i - Y_j).
-
-    With x0 None (all particles at the origin) the first grid state is
-    drawn exactly from the from-origin density at t = dt, avoiding the
-    singular drift at the start.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    dt = t_end / n_steps
-    if _is_origin(x0):
-        if n is None:
-            if x0 is None:
-                raise ValueError("dimension n required for an origin start")
-            n = len(np.atleast_1d(np.asarray(x0)))
-        state = _gue_start(n, dt, 1, rng)
-        times = [dt]
-        first_step = 1
-    else:
-        x0 = _as_point(x0)
-        n = x0.size
-        state = x0[None, :].copy()
-        times = [0.0]
-        first_step = 0
-    states = [state[0].copy()]
-    for k in range(first_step, n_steps):
-        _advance_batch(state, k * dt, dt, dyson_drift, rng)
-        states.append(state[0].copy())
-        times.append((k + 1) * dt)
-    return SamplePath(
-        times=np.array(times),
-        states=np.array(states),
-        seed=seed_label,
-        step_size=dt,
-        integrator="euler-maruyama/dyson",
-    )
+    dY_i = dB_i + sum_{j != i} dt / (Y_i - Y_j), from x0 or the origin."""
+    if n is None:
+        if x0 is None:
+            raise ValueError("dimension n required for an origin start")
+        n = np.size(x0)
+    states = trajectories("dyson", n, t_end, n_steps, 1, rng, x0)
+    return sample_path("dyson", t_end, n_steps, states[0], seed_label)
 
 
 def simulate_inhomogeneous(
@@ -580,40 +677,10 @@ def simulate_inhomogeneous(
     rng: np.random.Generator,
     seed_label: int | None = None,
 ) -> SamplePath:
-    """Euler-Maruyama path of the finite-horizon conditioned process,
-    started from the exact from-origin law at t = dt."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    dt = horizon / n_steps
-    surv = _origin_survival_weight(horizon, dt)
-    state = sample_from_origin(n, dt, 1, rng, h_power=1, extra_weight=surv)
-    drift = _inhomogeneous_drift_batch(horizon)
-    times = [dt]
-    states = [state[0].copy()]
-    for k in range(1, n_steps):
-        _advance_batch(state, k * dt, dt, drift, rng)
-        states.append(state[0].copy())
-        times.append((k + 1) * dt)
-    return SamplePath(
-        times=np.array(times),
-        states=np.array(states),
-        seed=seed_label,
-        step_size=dt,
-        integrator="euler-maruyama/finite-horizon",
-    )
-
-
-def _origin_survival_weight(
-    horizon: float, t0: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    def weight(points: np.ndarray) -> np.ndarray:
-        tau = horizon - t0
-        if tau <= 0:
-            return np.ones(points.shape[0])
-        log_pf, _, _ = _erf_pfaffian(np.full(points.shape[0], tau), points)
-        return np.exp(log_pf)
-
-    return weight
+    """Euler-Maruyama path of the finite-horizon conditioned process from
+    the origin, up to the horizon."""
+    states = trajectories("finite-horizon", n, horizon, n_steps, 1, rng, None, horizon)
+    return sample_path("finite-horizon", horizon, n_steps, states[0], seed_label)
 
 
 def dyson_terminal_batch(
@@ -624,37 +691,15 @@ def dyson_terminal_batch(
     rng: np.random.Generator,
     x0: ArrayLike | None = None,
 ) -> np.ndarray:
-    """Terminal states of many independent Dyson paths (vectorized)."""
-    dt = t_end / n_steps
-    if _is_origin(x0):
-        states = _gue_start(n, dt, n_paths, rng)
-        first_step = 1
-    else:
-        x0 = _as_point(x0)
-        states = np.tile(x0, (n_paths, 1))
-        first_step = 0
-    for k in range(first_step, n_steps):
-        _advance_batch(states, k * dt, dt, dyson_drift, rng)
-    return states
+    """Terminal states of many independent Dyson paths."""
+    return terminal("dyson", n, t_end, n_steps, n_paths, rng, x0)
 
 
 def dyson_trajectories(
-    n: int,
-    t_end: float,
-    n_steps: int,
-    n_paths: int,
-    rng: np.random.Generator,
+    n: int, t_end: float, n_steps: int, n_paths: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(n_paths, n_steps, n) from-origin trajectories on the grid
-    dt, 2 dt, ..., t_end."""
-    dt = t_end / n_steps
-    states = _gue_start(n, dt, n_paths, rng)
-    out = np.empty((n_paths, n_steps, n))
-    out[:, 0, :] = states
-    for k in range(1, n_steps):
-        _advance_batch(states, k * dt, dt, dyson_drift, rng)
-        out[:, k, :] = states
-    return out
+    """(n_paths, n_steps, n) from-origin Dyson trajectories."""
+    return trajectories("dyson", n, t_end, n_steps, n_paths, rng)
 
 
 def inhomogeneous_trajectories(
@@ -666,18 +711,7 @@ def inhomogeneous_trajectories(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """(n_paths, n_steps, n) finite-horizon trajectories up to t_end <= T."""
-    if not 0 < t_end <= horizon:
-        raise ValueError("need 0 < t_end <= T")
-    dt = t_end / n_steps
-    weight = _origin_survival_weight(horizon, dt)
-    states = sample_from_origin(n, dt, n_paths, rng, h_power=1, extra_weight=weight)
-    drift = _inhomogeneous_drift_batch(horizon)
-    out = np.empty((n_paths, n_steps, n))
-    out[:, 0, :] = states
-    for k in range(1, n_steps):
-        _advance_batch(states, k * dt, dt, drift, rng)
-        out[:, k, :] = states
-    return out
+    return trajectories("finite-horizon", n, t_end, n_steps, n_paths, rng, None, horizon)
 
 
 def inhomogeneous_terminal_batch(
@@ -689,15 +723,7 @@ def inhomogeneous_terminal_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Terminal states at t_end <= T of many finite-horizon paths."""
-    if not 0 < t_end <= horizon:
-        raise ValueError("need 0 < t_end <= T")
-    dt = t_end / n_steps
-    surv = _origin_survival_weight(horizon, dt)
-    states = sample_from_origin(n, dt, n_paths, rng, h_power=1, extra_weight=surv)
-    drift = _inhomogeneous_drift_batch(horizon)
-    for k in range(1, n_steps):
-        _advance_batch(states, k * dt, dt, drift, rng)
-    return states
+    return terminal("finite-horizon", n, t_end, n_steps, n_paths, rng, horizon=horizon)
 
 
 def marginal_cdf_from_origin(
@@ -712,8 +738,9 @@ def marginal_cdf_from_origin(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """CDF of one coordinate of the from-origin law at time t (N = 2 only).
 
-    Integrates the joint density over the other coordinate on a grid, then
-    accumulates. Used as the reference distribution in KS tests.
+    Integrates the joint density over the other coordinate at each grid
+    point and tabulates it with ``verify.grid_cdf``, which raises when the
+    mass is far from 1. Used as the reference distribution in KS tests.
     """
     if n != 2:
         raise ValueError("marginals implemented for N = 2")
@@ -736,25 +763,14 @@ def marginal_cdf_from_origin(
     width = 6.0 * math.sqrt(t) * math.sqrt(n)
     lo = -width if lo is None else lo
     hi = width if hi is None else hi
-    xs = np.linspace(lo, hi, grid_points)
-    dens = np.empty(grid_points)
-    for k, v in enumerate(xs):
+
+    def quad(f: Callable[[float], float], a: float, b: float) -> float:
+        return integrate.quad(f, a, b, epsabs=1e-10, limit=200)[0]
+
+    def density(xs: np.ndarray) -> list[float]:
+        # the other coordinate is integrated out to 2 past the grid
         if coord == 0:
-            val, _ = integrate.quad(
-                lambda b: joint(v, b), v, hi + 2.0, epsabs=1e-10, limit=200
-            )
-        else:
-            val, _ = integrate.quad(
-                lambda a: joint(a, v), lo - 2.0, v, epsabs=1e-10, limit=200
-            )
-        dens[k] = val
-    cum = integrate.cumulative_trapezoid(dens, xs, initial=0.0)
-    total = cum[-1]
-    if not 0.9 < total < 1.1:
-        raise RuntimeError(f"marginal mass {total} far from 1; widen the grid")
-    cum = cum / total
+            return [quad(lambda b: joint(v, b), v, hi + 2.0) for v in xs]
+        return [quad(lambda a: joint(a, v), lo - 2.0, v) for v in xs]
 
-    def cdf(q: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(q, dtype=float), xs, cum, left=0.0, right=1.0)
-
-    return cdf
+    return grid_cdf(density, lo, hi, grid_points)

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .diffusion import SamplePath, dyson_drift
+from .diffusion import SamplePath, dyson_drift, sample_path, terminal, trajectories
 
 DIAG_RESIDUAL_TOL = 1e-10
 
@@ -128,35 +128,17 @@ def eigen_path(
     rng: np.random.Generator,
     seed_label: int | None = None,
 ) -> SamplePath:
-    """Eigenvalue path of the matrix Brownian motion started from zero.
-
-    States are recorded from the first grid time onward (at t = 0 all
-    eigenvalues coincide); each grid state is exact in distribution.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    dt = t_end / n_steps
-    xi = np.zeros((1, n, n), dtype=complex)
-    times = np.empty(n_steps)
-    states = np.empty((n_steps, n))
-    for k in range(n_steps):
-        xi += hermitian_increment_batch(n, dt, rng, 1)
-        states[k] = _eigvalsh_batch(xi)[0]
-        times[k] = (k + 1) * dt
-    return SamplePath(
-        times=times,
-        states=states,
-        seed=seed_label,
-        step_size=dt,
-        integrator="matrix-diagonalization",
-    )
+    """Eigenvalue path of the matrix Brownian motion started from zero,
+    recorded from the first grid time on; each state is exact in law."""
+    states = trajectories("matrix", n, t_end, n_steps, 1, rng)
+    return sample_path("matrix", t_end, n_steps, states[0], seed_label)
 
 
 def eigen_terminal_batch(
     n: int, t: float, n_paths: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sorted eigenvalue samples of the matrix process at one time."""
-    return _eigvalsh_batch(hermitian_increment_batch(n, t, rng, n_paths))
+    return terminal("matrix", n, t, 1, n_paths, rng)
 
 
 def eigen_trajectories(
@@ -166,15 +148,9 @@ def eigen_trajectories(
     n_paths: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """(n_paths, n_steps, n) eigenvalue trajectories of the matrix process
-    on the grid dt, 2 dt, ..., t_end, exact in distribution at every time."""
-    dt = t_end / n_steps
-    xi = np.zeros((n_paths, n, n), dtype=complex)
-    out = np.empty((n_paths, n_steps, n))
-    for k in range(n_steps):
-        xi += hermitian_increment_batch(n, dt, rng, n_paths)
-        out[:, k, :] = _eigvalsh_batch(xi)
-    return out
+    """(n_paths, n_steps, n) eigenvalue trajectories of the matrix process,
+    exact in law at every grid time."""
+    return trajectories("matrix", n, t_end, n_steps, n_paths, rng)
 
 
 # ---------------------------------------------------------------------------

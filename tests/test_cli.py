@@ -325,6 +325,13 @@ PINNED_CHUNKED = [
          "--steps", "50", "--paths", "12", "--seed", "7"],
         "1f725f1ecd87e663c9486a69dde1e4a7ba2f5a04f16df9fa90c25aa148210738",
     ),
+    # recorded from the block writer and the per-process loops, before the
+    # three processes shared one trajectory engine
+    (
+        ["simulate-dyson", "--n", "3", "--t", "1", "--steps", "50", "--paths", "15",
+         "--seed", "11"],
+        "4d843985617e7fb2cbfe763db8a10c113c1b500778c89ae061427bb357beda77",
+    ),
 ]
 
 
@@ -444,3 +451,16 @@ def test_schur_prints_long_rationals(capsys):
     )
     assert code == 0, err
     assert out.strip() == "1/" + str(decimal.Decimal(2**15000))
+
+
+def test_simulate_inhomogeneous_four_from_origin_fails_in_bounded_time():
+    proc = subprocess.run(
+        [sys.executable, "-m", "noncollide.cli", "simulate-inhomogeneous", "--n", "4",
+         "--horizon", "1.5", "--t", "1", "--steps", "100", "--paths", "20"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "N=4 at t0=0.01 accepted 0 of" in proc.stderr
+    assert "MAX_PROPOSALS" in proc.stderr

@@ -300,3 +300,93 @@ def test_gue_start_matches_rejection_oracle():
         assert ks_2samp(gue[:, coord], oracle[:, coord]).pvalue > 1e-3
     with pytest.raises(ValueError):
         _gue_start(0, t0, 5, np.random.default_rng(0))
+
+
+# one trajectory engine: (process, x0, horizon) cases on a fixed seed
+ENGINE_CASES = [
+    ("dyson", None, None),
+    ("dyson", [-0.5, 0.2, 1.0], None),
+    ("finite-horizon", None, 1.5),
+    ("finite-horizon", [-0.5, 0.2, 1.0], 1.5),
+    ("matrix", None, None),
+]
+
+
+@pytest.mark.parametrize("process, x0, horizon", ENGINE_CASES)
+def test_engine_consumers_agree(process, x0, horizon):
+    from noncollide.diffusion import grid_states, sample_path, terminal, trajectories
+
+    args = (process, 3, 1.0, 12)
+    rng = lambda: np.random.default_rng(71)
+    traj = trajectories(*args, 5, rng(), x0, horizon)
+    origin = x0 is None
+    assert traj.shape == (5, 12 if origin else 13, 3)
+    # the yielded state is overwritten by the next step, so keep copies
+    streamed = [s.copy() for s in grid_states(*args, 5, rng(), x0, horizon)]
+    assert np.array_equal(np.stack(streamed, axis=1), traj)
+    assert np.array_equal(terminal(*args, 5, rng(), x0, horizon), traj[:, -1])
+    one = trajectories(*args, 1, rng(), x0, horizon)[0]
+    path = sample_path(process, 1.0, 12, one, seed_label=71)
+    assert np.array_equal(path.states, one) and path.seed == 71
+    dt = 1.0 / 12
+    grid = np.arange(1, 13) * dt if origin else np.arange(13) * dt
+    assert np.array_equal(path.times, grid) and path.step_size == dt
+    if not origin:
+        assert np.array_equal(traj[:, 0], np.tile(x0, (5, 1)))
+
+
+def test_one_path_entry_points_are_engine_views():
+    from noncollide.diffusion import trajectories
+    from noncollide.rmt import eigen_path
+
+    rng = lambda: np.random.default_rng(72)
+    x0 = [-0.5, 0.2, 1.0]
+    cases = [
+        (simulate_dyson(None, 1.0, 12, rng(), n=3), ("dyson", 3, 1.0, 12, 1, rng())),
+        (simulate_dyson(x0, 1.0, 12, rng()), ("dyson", 3, 1.0, 12, 1, rng(), x0)),
+        (
+            simulate_inhomogeneous(3, 1.5, 12, rng()),
+            ("finite-horizon", 3, 1.5, 12, 1, rng(), None, 1.5),
+        ),
+        (eigen_path(3, 1.0, 12, rng()), ("matrix", 3, 1.0, 12, 1, rng())),
+    ]
+    for path, args in cases:
+        assert np.array_equal(path.states, trajectories(*args)[0])
+
+
+def test_engine_rejects_bad_arguments():
+    from noncollide.diffusion import terminal, trajectories
+
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown process"):
+        terminal("brownian", 2, 1.0, 4, 3, rng)
+    with pytest.raises(ValueError, match="horizon"):
+        trajectories("finite-horizon", 2, 1.0, 4, 3, rng)
+    with pytest.raises(ValueError, match="starts from zero"):
+        terminal("matrix", 2, 1.0, 4, 3, rng, x0=[0.0, 1.0])
+    with pytest.raises(ValueError, match="expected n = 3"):
+        terminal("dyson", 3, 1.0, 4, 3, rng, x0=[0.0, 1.0])
+    with pytest.raises(ValueError, match="t_end <= T"):
+        terminal("finite-horizon", 2, 2.0, 4, 3, rng, horizon=1.0)
+
+
+def test_terminal_batch_streams():
+    # the full (2000, 2000, 2) trajectory array would take 61 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        term = dyson_terminal_batch(2, 1.0, 2000, 2000, np.random.default_rng(73))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert term.shape == (2000, 2)
+    assert peak < 8 * 2**20
+
+
+def test_sample_from_origin_gives_up_with_its_acceptance(monkeypatch):
+    from noncollide import diffusion
+
+    monkeypatch.setattr(diffusion, "MAX_PROPOSALS", 10**5)
+    with pytest.raises(RuntimeError, match=r"N=4 at t0=0\.01 accepted 0 of \d+ proposals"):
+        sample_from_origin(4, 0.01, 20, np.random.default_rng(5), h_power=2)
