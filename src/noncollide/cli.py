@@ -13,7 +13,6 @@ scientific notation).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import decimal
 import filecmp
@@ -26,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class RunConfig:
     seed: int
     out: str | None
     fmt: str
-    threads: int
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -104,12 +102,15 @@ def _emit_value(cfg: RunConfig, value, extra: dict | None = None) -> None:
 
 def _write_rows(cfg: RunConfig, header: Sequence[str], blocks: Iterable[str]) -> None:
     """Write CSV text blocks (whole lines) after the seed comment and the
-    header. ``blocks`` is consumed lazily, so a refused format costs no work."""
+    header. ``blocks`` is consumed lazily, so a refused format costs no work,
+    and its first block is computed before --out is opened, so a run that
+    fails there leaves no file."""
     if cfg.fmt == "json":
         raise ValueError("sampling output is CSV only; use --format csv")
+    blocks = iter(blocks)
+    first = next(blocks, "")
     with _open_out(cfg) as stream:
-        stream.write(f"# seed={cfg.seed}\n")
-        stream.write(",".join(header) + "\n")
+        stream.write(f"# seed={cfg.seed}\n" + ",".join(header) + "\n" + first)
         for block in blocks:
             stream.write(block)
 
@@ -240,27 +241,6 @@ def _cmd_scaling_check(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _parallel_chunks(
-    cfg: RunConfig,
-    sizes: Sequence[int],
-    worker: Callable[[int, np.random.Generator], np.ndarray],
-):
-    """Evaluate per-chunk workers (child seeds spawned in chunk order) and
-    yield results in order; thread count never changes the output."""
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
-    if cfg.threads <= 1 or len(sizes) <= 1:
-        for size, seq in zip(sizes, seeds):
-            yield worker(size, np.random.default_rng(seq))
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [
-            pool.submit(worker, size, np.random.default_rng(seq))
-            for size, seq in zip(sizes, seeds)
-        ]
-        for fut in futures:
-            yield fut.result()
-
-
 def _dyson_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
     return diffusion.trajectories("dyson", args.n, args.t, args.steps, size, rng)
 
@@ -296,10 +276,11 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     mids = [f",{(k + 1) * dt!r},{i}," for k in range(args.steps) for i in range(args.n)]
 
     def blocks():
+        # chunks run in order, each on a child seed spawned in chunk order
+        seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
         pid = 0
-        for block in _parallel_chunks(
-            cfg, sizes, lambda size, rng: chunk_fn(args, size, rng)
-        ):
+        for size, seq in zip(sizes, seeds):
+            block = chunk_fn(args, size, np.random.default_rng(seq))
             for values in block.reshape(block.shape[0], -1):
                 head = str(pid)
                 yield "".join(
@@ -500,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default="csv"
     )
-    parser.add_argument("--threads", type=int, default=1)
+    threads_help = "accepted for compatibility; simulate chunks run in order"
+    parser.add_argument("--threads", type=int, default=1, help=threads_help)
 
     # the global flags are also accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering values parsed by the main parser
@@ -510,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default=argparse.SUPPRESS
     )
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS, help=threads_help)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -613,9 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv))
-    cfg = RunConfig(
-        seed=args.seed, out=args.out, fmt=args.fmt, threads=max(1, args.threads)
-    )
+    cfg = RunConfig(seed=args.seed, out=args.out, fmt=args.fmt)
     try:
         return args.func(args, cfg)
     except (ValueError, KeyError, NotRealizableError, RuntimeError, OSError) as exc:

@@ -16,8 +16,8 @@ Densities are evaluated in log space and exponentiated at the API boundary;
 the power t^(-N^2/2) and the squared Vandermonde factor underflow quickly
 otherwise.
 
-Survival, the finite-horizon drift and the from-origin start weight all
-take one route, de Bruijn's Pfaffian (de Bruijn 1955):
+Survival and the finite-horizon drift take one route, de Bruijn's Pfaffian
+(de Bruijn 1955):
 
     N_N(t, x) = Pf A,   A_ij = erf((x_j - x_i) / 2 sqrt(t)),
 
@@ -38,6 +38,11 @@ the grid is dt, 2 dt, ..., t_end, and the first state is drawn exactly
 (all particles coincide at t = 0); from a chamber point x0 it is
 0, dt, ..., t_end, starting with x0. ``trajectories`` stacks the states,
 ``terminal`` keeps the last one and ``sample_path`` is the one-path view.
+
+From the origin the finite-horizon process is the eigenvalue process of the
+two-matrix model S(t) + iA(t) (Katori and Tanemura, Phys. Rev. E 66 (2002)
+011105; J. Math. Phys. 45 (2004) 3058): S is real-symmetric Brownian motion
+and each upper entry of the antisymmetric A is a Brownian bridge to 0 at T.
 """
 
 from __future__ import annotations
@@ -406,7 +411,8 @@ def _advance_batch(
     """Advance every path by one grid step of size dt, in place.
 
     A proposed move that breaks the strict ordering is retried with half
-    the step (fresh noise); sub-step bookkeeping is exact (integer dyadic
+    the step (fresh noise), and an accepted sub-step doubles the next one,
+    capped by what remains; sub-step bookkeeping is exact (integer dyadic
     units), so each path consumes exactly dt.
     """
     n_paths = states.shape[0]
@@ -434,7 +440,7 @@ def _advance_batch(
         good = active[ok]
         states[good] = prop[ok]
         remaining[good] -= h_units[good]
-        h_units[good] = np.minimum(h_units[good], np.maximum(remaining[good], 1))
+        h_units[good] = np.minimum(2 * h_units[good], np.maximum(remaining[good], 1))
         bad = active[~ok]
         if bad.size:
             if np.any(h_units[bad] == 1):
@@ -466,10 +472,13 @@ def _inhomogeneous_drift_batch(
     return drift
 
 
-def _gue_start(n: int, t0: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact draws from the from-origin h^2 law at t0, exp(-|y|^2/2 t0) h_N(y)^2:
-    the eigenvalues of a GUE matrix with E|H_ij|^2 = t0 (Dyson 1962)."""
-    return terminal("matrix", n, t0, 1, size, rng)
+def _gue_start(
+    n: int, t0: float, size: int, rng: np.random.Generator, horizon: float | None = None
+) -> np.ndarray:
+    """Exact from-origin draws at t0 of either SDE: GUE eigenvalues, the h^2
+    law exp(-|y|^2/2 t0) h_N(y)^2 (Dyson 1962), or with a horizon T the
+    two-matrix eigenvalues, the finite-horizon law (module docstring)."""
+    return terminal("matrix", n, t0, 1, size, rng, horizon=horizon)
 
 
 def sample_from_origin(
@@ -478,31 +487,24 @@ def sample_from_origin(
     size: int,
     rng: np.random.Generator,
     h_power: int = 2,
-    extra_weight: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Exact draws from the from-origin chamber density at a small time.
+    """Rejection draws from exp(-|y|^2/2 t0) * h_N(y)^h_power, a test oracle
+    for ``_gue_start``; no production route calls it.
 
-    Target (up to normalization): exp(-|y|^2/2 t0) * h_N(y)^h_power *
-    extra_weight(y), with values of extra_weight in [0, 1]. Proposals are
-    sorted iid N(0, 2 t0) vectors; inflating the proposal variance makes
-    the acceptance ratio bounded:
+    Proposals are sorted iid N(0, 2 t0) vectors; inflating the proposal
+    variance makes the acceptance ratio bounded:
 
-        ratio = h^p * extra * exp(-|y|^2 / 4 t0)
+        ratio = h^p * exp(-|y|^2 / 4 t0)
              <= (2 r)^(p K) exp(-r^2 / 4 t0) =: f(r),   K = N(N-1)/2,
 
-    maximized at r* = sqrt(2 p K t0). The acceptance rate falls fast with N;
-    the h^2 start of the Dyson process is drawn by ``_gue_start`` instead.
+    maximized at r* = sqrt(2 p K t0). The acceptance rate falls fast with N.
     Raises RuntimeError once the proposals that ``size`` draws would take,
     projected from the acceptances so far plus one, exceed MAX_PROPOSALS.
     """
     if n < 1 or size < 1:
         raise ValueError("need n >= 1 and size >= 1")
     pk = h_power * n * (n - 1) // 2
-    if pk == 0:
-        bound = 1.0
-    else:
-        r_star = math.sqrt(2.0 * pk * t0)
-        bound = (2.0 * r_star) ** pk * math.exp(-pk / 2.0)
+    bound = (2.0 * math.sqrt(2.0 * pk * t0)) ** pk * math.exp(-pk / 2.0)  # f(r*)
     out = np.empty((size, n))
     filled = 0
     block = max(4 * size, 1024)
@@ -529,10 +531,6 @@ def sample_from_origin(
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_ratio += h_power * np.where(gaps_ok, np.log(np.abs(hs)), -np.inf)
         accept = rng.random(block) < np.exp(log_ratio) / bound
-        if extra_weight is not None and np.any(accept):
-            idx = np.nonzero(accept)[0]
-            weights = extra_weight(prop[idx])
-            accept[idx] = rng.random(idx.size) < weights
         got = prop[accept]
         take = min(size - filled, got.shape[0])
         out[filled : filled + take] = got[:take]
@@ -567,51 +565,47 @@ def grid_states(
 
     ``process`` is "dyson" (the h-transform), "finite-horizon" (conditioned
     to avoid collision up to ``horizon``) or "matrix" (eigenvalues of
-    Hermitian matrix Brownian motion, from zero only). Bad arguments raise
-    at the first state.
+    Hermitian matrix Brownian motion from zero; with a ``horizon``, of the
+    two-matrix model). From the origin both SDEs start with the exact draw
+    ``_gue_start`` at dt. Bad arguments raise at the first state.
     """
     if process not in _INTEGRATORS:
         raise ValueError(f"unknown process {process!r}; known: {list(_INTEGRATORS)}")
     if n < 1 or n_steps < 1 or n_paths < 1:
         raise ValueError("need n >= 1, n_steps >= 1 and n_paths >= 1")
+    if horizon is not None and not 0 < t_end <= horizon:
+        raise ValueError("need 0 < t_end <= T")
     dt = t_end / n_steps
     if process == "matrix":
         if not _is_origin(x0):
             raise ValueError("the matrix process starts from zero")
         from . import rmt  # rmt imports this module
 
-        xi = rmt.hermitian_increment_batch(n, dt, rng, n_paths)
-        yield rmt._eigvalsh_batch(xi)
-        for _ in range(1, n_steps):
-            xi += rmt.hermitian_increment_batch(n, dt, rng, n_paths)
+        xi = np.zeros((n_paths, n, n), dtype=complex)
+        for k in range(1, n_steps + 1):
+            step = rmt.hermitian_increment_batch(n, dt, rng, n_paths)
+            if horizon is not None:
+                # the antisymmetric part is a Brownian bridge to 0 at T:
+                # b_k = r b_(k-1) + N(0, r dt / 2), r = (T - t_k) / (T - t_(k-1))
+                r = max((horizon - k * dt) / (horizon - (k - 1) * dt), 0.0)
+                xi.imag *= r
+                step.imag *= math.sqrt(r)
+            xi += step
             yield rmt._eigvalsh_batch(xi)
         return
     if process == "dyson":
-        drift = dyson_drift
+        drift, horizon = dyson_drift, None
+    elif horizon is None:
+        raise ValueError("the finite-horizon process needs a horizon")
     else:
-        if horizon is None:
-            raise ValueError("the finite-horizon process needs a horizon")
-        if not 0 < t_end <= horizon:
-            raise ValueError("need 0 < t_end <= T")
         drift = _inhomogeneous_drift_batch(horizon)
     if not _is_origin(x0):
         x0 = _as_point(x0)
         if x0.size != n:
             raise ValueError(f"x0 has {x0.size} coordinates, expected n = {n}")
         states, first_step = np.tile(x0, (n_paths, 1)), 0
-    elif process == "dyson":
-        states, first_step = _gue_start(n, dt, n_paths, rng), 1
     else:
-
-        def survival_weight(y: np.ndarray) -> np.ndarray:
-            if horizon - dt <= 0:
-                return np.ones(y.shape[0])
-            return np.exp(_erf_pfaffian(np.full(y.shape[0], horizon - dt), y)[0])
-
-        states = sample_from_origin(
-            n, dt, n_paths, rng, h_power=1, extra_weight=survival_weight
-        )
-        first_step = 1
+        states, first_step = _gue_start(n, dt, n_paths, rng, horizon), 1
     yield states
     for k in range(first_step, n_steps):
         _advance_batch(states, k * dt, dt, drift, rng)

@@ -127,24 +127,40 @@ def schur_bialternant(
 def schur_dual_jt(
     shape: Partition, z: EvalPoint | Sequence[RationalLike]
 ) -> Fraction:
-    """Dual Jacobi-Trudi determinant det[e_{conj(lam)_j + i - j}](z)."""
+    """Dual Jacobi-Trudi determinant det[e_{conj(lam)_j + i - j}](z).
+
+    e_k = 0 for k > T = len(z), so the matrix is banded: exact elimination
+    over sparse rows costs O(l(conj) T^2), since the pivot of column k lies
+    in rows k .. k + T - 1 (no row below gains an entry in column k).
+    """
     values = _point(z)
-    if len(shape) > len(values):
+    n_vars = len(values)
+    if len(shape) > n_vars:
         return Fraction(0)
     conj = conjugate(shape).parts
-    n = len(conj)
-    if n == 0:
-        return Fraction(1)
     e = elementary_symmetric_all(values)
-
-    def e_at(k: int) -> Fraction:
-        if k < 0 or k > len(values):
+    m = len(conj)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(m)]
+    for j, c in enumerate(conj):
+        for i in range(max(0, j - c), min(m, j - c + n_vars + 1)):
+            rows[i][j] = e[c + i - j]
+    det = Fraction(1)
+    for k in range(m):
+        below = range(k, min(m, k + n_vars))
+        p = next((r for r in below if rows[r].get(k)), None)
+        if p is None:
             return Fraction(0)
-        return e[k]
-
-    matrix = [[e_at(conj[j] + (i + 1) - (j + 1)) for j in range(n)] for i in range(n)]
-    result = det_bareiss(matrix)
-    return Fraction(result)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot = rows[k].pop(k)
+        det *= pivot
+        for r in below[1:]:
+            factor = rows[r].pop(k, 0) / pivot
+            if factor:
+                for j, v in rows[k].items():
+                    rows[r][j] = rows[r].get(j, 0) - factor * v
+    return det
 
 
 def principal_specialization(shape: Partition, n_vars: int) -> int:

@@ -323,7 +323,8 @@ PINNED_CHUNKED = [
     (
         ["simulate-inhomogeneous", "--n", "2", "--horizon", "1.5", "--t", "1",
          "--steps", "50", "--paths", "12", "--seed", "7"],
-        "1f725f1ecd87e663c9486a69dde1e4a7ba2f5a04f16df9fa90c25aa148210738",
+        # re-recorded when the from-origin start became a two-matrix draw
+        "47d6ceb58b2bdda53d2a12dce71e88bcc740acb1d47ddb7a91adbbf27bfb0bdf",
     ),
     # recorded from the block writer and the per-process loops, before the
     # three processes shared one trajectory engine
@@ -453,7 +454,11 @@ def test_schur_prints_long_rationals(capsys):
     assert out.strip() == "1/" + str(decimal.Decimal(2**15000))
 
 
-def test_simulate_inhomogeneous_four_from_origin_fails_in_bounded_time():
+def test_simulate_inhomogeneous_four_from_origin_in_bounded_time():
+    from scipy.stats import ks_2samp
+
+    from noncollide.diffusion import terminal
+
     proc = subprocess.run(
         [sys.executable, "-m", "noncollide.cli", "simulate-inhomogeneous", "--n", "4",
          "--horizon", "1.5", "--t", "1", "--steps", "100", "--paths", "20"],
@@ -461,6 +466,37 @@ def test_simulate_inhomogeneous_four_from_origin_fails_in_bounded_time():
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 1
-    assert "N=4 at t0=0.01 accepted 0 of" in proc.stderr
-    assert "MAX_PROPOSALS" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 + 20 * 100 * 4
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    states = rows[:, 3].reshape(20, 100, 4)
+    exact = terminal("matrix", 4, 1.0, 1, 20_000, np.random.default_rng(86), horizon=1.5)
+    for coord in range(4):
+        assert ks_2samp(states[:, -1, coord], exact[:, coord]).pvalue > 1e-3
+
+
+def test_failed_simulate_leaves_no_out_file(tmp_path, monkeypatch, capsys):
+    def failing_chunk(args, size, rng):
+        raise RuntimeError("chunk failed")
+
+    monkeypatch.setattr(cli, "_inhomogeneous_chunk", failing_chunk)
+    out = tmp_path / "paths.csv"
+    code, _, err = run_cli(
+        ["simulate-inhomogeneous", "--n", "2", "--horizon", "1", "--t", "1", "--steps", "4",
+         "--paths", "3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1 and "chunk failed" in err
+    assert not out.exists()
+
+
+def test_schur_default_method_long_shape_in_bounded_time(capsys):
+    # the dual Jacobi-Trudi matrix is 15000 x 15000 here, but banded
+    argv = ["schur", "--shape", "15000", "--points", "1/2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "noncollide.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(argv + ["--method", "bialternant"], capsys)
+    assert code == 0 and proc.stdout == out

@@ -390,3 +390,73 @@ def test_sample_from_origin_gives_up_with_its_acceptance(monkeypatch):
     monkeypatch.setattr(diffusion, "MAX_PROPOSALS", 10**5)
     with pytest.raises(RuntimeError, match=r"N=4 at t0=0\.01 accepted 0 of \d+ proposals"):
         sample_from_origin(4, 0.01, 20, np.random.default_rng(5), h_power=2)
+
+
+# the finite-horizon process from the origin is the eigenvalue process of the
+# two-matrix model S + iA, A a bridge to 0 at T (Katori and Tanemura)
+@pytest.mark.parametrize("t", [0.5, 0.9])
+def test_two_matrix_model_has_the_finite_horizon_marginals(t):
+    from scipy.stats import kstest
+
+    from noncollide.diffusion import terminal, trajectories
+
+    one_step = terminal("matrix", 2, t, 1, 3000, np.random.default_rng(81), horizon=1.0)
+    # five steps exercise the bridge recursion, not just one marginal
+    five_steps = trajectories("matrix", 2, t, 5, 3000, np.random.default_rng(82), horizon=1.0)
+    for coord in (0, 1):
+        cdf = marginal_cdf_from_origin(2, t, coord, kind="inhomogeneous", horizon=1.0)
+        assert kstest(one_step[:, coord], cdf).pvalue > 1e-3
+        assert kstest(five_steps[:, -1, coord], cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_two_matrix_model_second_moment(n):
+    # E sum lambda^2 = E tr (S + iA)^2 = N t + N(N-1) t (2T - t) / 2T: the GUE
+    # value N^2 t for t << T and the GOE value N(N+1)T/2 at t = T
+    from noncollide.diffusion import trajectories
+
+    horizon = 1.0
+    traj = trajectories("matrix", n, horizon, 10, 20_000, np.random.default_rng(83), horizon=horizon)
+    for k, t in ((4, 0.5), (9, horizon)):
+        total = np.sum(traj[:, k] ** 2, axis=1)
+        exact = n * t + n * (n - 1) * t * (2 * horizon - t) / (2 * horizon)
+        stderr = total.std(ddof=1) / math.sqrt(total.size)
+        assert abs(total.mean() - exact) < 4 * stderr
+        assert t < horizon or exact == pytest.approx(n * (n + 1) * horizon / 2)
+
+
+def test_finite_horizon_euler_maruyama_matches_two_matrix_law():
+    from scipy.stats import ks_2samp
+
+    from noncollide.diffusion import terminal
+
+    em = terminal("finite-horizon", 3, 1.0, 100, 3000, np.random.default_rng(84), horizon=1.5)
+    exact = terminal("matrix", 3, 1.0, 1, 20_000, np.random.default_rng(85), horizon=1.5)
+    for coord in range(3):
+        assert ks_2samp(em[:, coord], exact[:, coord]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n_steps", [20, 40])
+def test_step_halving_cost_is_bounded(n_steps, monkeypatch):
+    # a halved step grows back after each accepted sub-step, so a path that
+    # needed deep halving once does not keep tiny steps for the grid step
+    from noncollide import diffusion
+
+    calls, per_step = [0], []
+    drift, advance = diffusion.dyson_drift, diffusion._advance_batch
+
+    def counting_drift(states, t=None):
+        calls[0] += 1
+        return drift(states, t)
+
+    def counting_advance(*args):
+        before = calls[0]
+        advance(*args)
+        per_step.append(calls[0] - before)
+
+    monkeypatch.setattr(diffusion, "dyson_drift", counting_drift)
+    monkeypatch.setattr(diffusion, "_advance_batch", counting_advance)
+    x0 = (0.0, 0.4, 0.8)
+    dyson_terminal_batch(3, 1.0, n_steps, 40_000, np.random.default_rng(3), x0=x0)
+    assert len(per_step) == n_steps
+    assert max(per_step) <= 2 * diffusion.MAX_HALVINGS
