@@ -8,6 +8,14 @@ time, each path formatted as one text block; floats are written with
 ``repr``, so ``verify-sde`` reads back the exact values. Scalar commands
 print their value (exact integers and rationals in full decimal, never
 scientific notation).
+
+Importing this module loads numpy and the package only; scipy is imported
+on first use, by the commands that need it: ``density --kind g`` and
+``--kind survival`` (de Bruijn's erf Pfaffian), ``simulate-inhomogeneous``
+(its drift is that Pfaffian), ``scaling-check`` (Pochhammer symbols) and the
+``verify`` suites that run a KS, chi-square, quadrature or erf check. The
+lattice commands, ``density --kind km`` and ``p``, ``simulate-dyson``,
+``simulate-matrix`` and ``verify-sde`` never load it.
 """
 
 from __future__ import annotations

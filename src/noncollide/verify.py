@@ -1,9 +1,11 @@
 """Statistical and numerical verification utilities.
 
-Thin, deterministic wrappers around scipy's KS tests and adaptive
-quadrature, returning a uniform ``TestReport`` record that the acceptance
-suite and the CLI both consume. All tests are pure functions of their
-inputs; randomness always enters through explicit seeds upstream.
+Thin, deterministic wrappers around scipy's KS tests, chi-square test and
+adaptive quadrature, returning a uniform ``TestReport`` record that the
+acceptance suite and the CLI both consume. Each wrapper imports the scipy
+module it needs when it is called, so importing this module loads numpy
+only. All tests are pure functions of their inputs; randomness always
+enters through explicit seeds upstream.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, stats
 
 P_VALUE_FLOOR = 0.01
 
@@ -57,6 +58,8 @@ def ks_two_sample(
     seeds: tuple[int, ...] = (),
 ) -> TestReport:
     """Two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
+    from scipy import stats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
@@ -82,6 +85,8 @@ def ks_one_sample(
     seeds: tuple[int, ...] = (),
 ) -> TestReport:
     """KS distance between a sample and a (monotone) model CDF."""
+    from scipy import stats
+
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         raise ValueError("sample must be nonempty")
@@ -120,6 +125,8 @@ def quadrature_integrate(
     three dimensions (adaptive Gauss-Kronrod, nested for the ordering
     constraint); raises if the reported error estimate exceeds tol.
     """
+    from scipy import integrate
+
     if ndim == 1:
         value, err = integrate.quad(f, lo, hi, epsabs=tol * 0.1, limit=200)
     elif ndim == 2:
@@ -163,6 +170,8 @@ def grid_cdf(
     1; outside [lo, hi] the CDF saturates at 0 / 1. A mass on the grid
     outside (0.9, 1.1) raises ValueError: the grid misses the density.
     """
+    from scipy import integrate
+
     xs = np.linspace(lo, hi, n_points)
     ys = np.asarray(density(xs), dtype=float)
     cum = integrate.cumulative_trapezoid(ys, xs, initial=0.0)
@@ -184,6 +193,8 @@ def chi_square_counts(
     seeds: tuple[int, ...] = (),
 ) -> TestReport:
     """Pearson chi-square test of category counts against exact weights."""
+    from scipy import stats
+
     observed = np.asarray(observed, dtype=float)
     probabilities = np.asarray(probabilities, dtype=float)
     if observed.shape != probabilities.shape:

@@ -460,3 +460,54 @@ def test_step_halving_cost_is_bounded(n_steps, monkeypatch):
     dyson_terminal_batch(3, 1.0, n_steps, 40_000, np.random.default_rng(3), x0=x0)
     assert len(per_step) == n_steps
     assert max(per_step) <= 2 * diffusion.MAX_HALVINGS
+
+
+def _adaptive_marginal_cdf(t, coord, kind, horizon, grid_points):
+    # one adaptive quadrature over the other coordinate per grid point, with
+    # the scalar transition densities as the integrand
+    from scipy import integrate
+
+    from noncollide.verify import grid_cdf
+
+    width = 6.0 * math.sqrt(2.0 * t)
+
+    def joint(a, b):
+        if not a < b:
+            return 0.0
+        if kind == "homogeneous":
+            return transition_homogeneous(0.0, None, t, np.array([a, b]))
+        return transition_inhomogeneous(0.0, None, t, np.array([a, b]), horizon)
+
+    def quad(f, a, b):
+        return integrate.quad(f, a, b, epsabs=1e-10, limit=200)[0]
+
+    def density(xs):
+        if coord == 0:
+            return [quad(lambda b: joint(v, b), v, width + 2.0) for v in xs]
+        return [quad(lambda a: joint(a, v), -width - 2.0, v) for v in xs]
+
+    return grid_cdf(density, -width, width, grid_points)
+
+
+@pytest.mark.parametrize(
+    "kind, t, horizon",
+    [("homogeneous", 1.0, None), ("inhomogeneous", 0.5, 1.0), ("inhomogeneous", 1.0, 1.0)],
+)
+@pytest.mark.parametrize("coord", [0, 1])
+def test_batched_marginal_matches_adaptive_quadrature(kind, t, horizon, coord):
+    # both CDFs tabulate on the same grid, so they differ only by how the
+    # other coordinate is integrated out; t = T is the case where the joint
+    # density is only linear in the gap
+    grid_points = 151
+    batched = marginal_cdf_from_origin(2, t, coord, kind=kind, horizon=horizon, grid_points=grid_points)
+    adaptive = _adaptive_marginal_cdf(t, coord, kind, horizon, grid_points)
+    width = 6.0 * math.sqrt(2.0 * t)
+    probe = np.linspace(-width - 0.5, width + 0.5, 997)
+    assert np.abs(batched(probe) - adaptive(probe)).max() < 1e-9
+
+
+def test_marginal_rejects_times_past_the_horizon():
+    with pytest.raises(ValueError, match="0 < t <= T"):
+        marginal_cdf_from_origin(2, 1.5, 0, kind="inhomogeneous", horizon=1.0)
+    with pytest.raises(ValueError, match="needs the horizon"):
+        marginal_cdf_from_origin(2, 0.5, 0, kind="inhomogeneous")
