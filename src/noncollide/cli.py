@@ -7,7 +7,7 @@ byte-identical output. The simulate commands write one chunk of paths at a
 time, each path formatted as one text block; floats are written with
 ``repr``, so ``verify-sde`` reads back the exact values. Scalar commands
 print their value (exact integers and rationals in full decimal, never
-scientific notation).
+scientific notation); ``density --grid`` is one batched library call.
 
 Importing this module loads numpy and the package only; scipy is imported
 on first use, by the commands that need it: ``density --kind g`` and
@@ -302,12 +302,24 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 def _cmd_density(args, cfg: RunConfig) -> int:
     x = None if args.x in (None, "", "origin") else _floats(args.x)
-    if args.grid:
-        return _density_grid(args, cfg, x)
-    y = _floats(args.y) if args.y else None
     if args.kind in ("km", "survival") and x is None:
         raise ValueError(f"kind {args.kind} needs --x")
-    if args.kind in ("km", "g", "p") and y is None:
+    if args.kind == "g" and args.horizon is None:
+        raise ValueError("kind g needs --horizon")
+    if args.grid and args.y:
+        raise ValueError("give --grid or --y, not both")
+    if args.grid:
+        if args.kind == "survival":
+            raise ValueError("grid output supports kinds km, g, p")
+        try:
+            lo, hi, count = args.grid.split(":")
+            ys = np.linspace(float(lo), float(hi), int(count))
+        except ValueError:
+            raise ValueError(f"--grid must be lo:hi:count, got {args.grid!r}") from None
+        y = np.stack(np.meshgrid(ys, ys, indexing="ij"), axis=-1)
+    elif args.y:
+        y = diffusion._as_point(_floats(args.y))
+    elif args.kind != "survival":
         raise ValueError(f"kind {args.kind} needs --y")
     if args.kind == "survival":
         value = diffusion.survival(
@@ -316,42 +328,15 @@ def _cmd_density(args, cfg: RunConfig) -> int:
     elif args.kind == "km":
         value = diffusion.km_density(args.t, x, y)
     elif args.kind == "g":
-        if args.horizon is None:
-            raise ValueError("kind g needs --horizon")
-        value = diffusion.transition_inhomogeneous(
-            args.s, x, args.t, np.asarray(y), args.horizon
-        )
+        value = diffusion.transition_inhomogeneous(args.s, x, args.t, y, args.horizon)
     else:
-        value = diffusion.transition_homogeneous(args.s, x, args.t, np.asarray(y))
-    _emit_value(cfg, repr(float(value)))
-    return 0
-
-
-def _density_grid(args, cfg: RunConfig, x) -> int:
-    if args.kind == "g" and args.horizon is None:
-        raise ValueError("kind g needs --horizon")
-    lo, hi, count = args.grid.split(":")
-    ys = np.linspace(float(lo), float(hi), int(count))
-
-    def joint(a: float, b: float) -> float:
-        if a >= b:
-            return 0.0
-        y = np.array([a, b])
-        if args.kind == "km":
-            return diffusion.km_density(args.t, x, y)
-        if args.kind == "g":
-            return diffusion.transition_inhomogeneous(
-                args.s, x, args.t, y, args.horizon
-            )
-        if args.kind == "p":
-            return diffusion.transition_homogeneous(args.s, x, args.t, y)
-        raise ValueError("grid output supports kinds km, g, p")
-
-    def blocks():
-        for a in ys.tolist():
-            yield "".join(f"{a!r},{b!r},{float(joint(a, b))!r}\n" for b in ys.tolist())
-
-    _write_rows(cfg, ("y1", "y2", "value"), blocks())
+        value = diffusion.transition_homogeneous(args.s, x, args.t, y)
+    if not args.grid:
+        _emit_value(cfg, repr(float(value)))
+        return 0
+    rows = zip(y.reshape(-1, 2).tolist(), value.ravel().tolist())
+    text = "".join(f"{a!r},{b!r},{v!r}\n" for (a, b), v in rows)
+    _write_rows(cfg, ("y1", "y2", "value"), [text])
     return 0
 
 

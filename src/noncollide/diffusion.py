@@ -12,9 +12,10 @@ grad log N_N; letting the horizon go to infinity gives the Vandermonde
 h-transform, whose drift is the pairwise repulsion sum 1/(y_i - y_j)
 (Dyson's Brownian motion at beta = 2).
 
-Densities are evaluated in log space and exponentiated at the API boundary;
-the power t^(-N^2/2) and the squared Vandermonde factor underflow quickly
-otherwise.
+The three transition densities take a batch of end points y (..., N) and
+are exactly 0 off the open chamber, where h_N(y) is not positive. They are
+evaluated in log space and exponentiated at the API boundary; the power
+t^(-N^2/2) and the squared Vandermonde factor underflow quickly otherwise.
 
 Survival and the finite-horizon drift take one route, de Bruijn's Pfaffian
 (de Bruijn 1955):
@@ -47,6 +48,7 @@ and each upper entry of the antisymmetric A is a Brownian bridge to 0 at T.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -83,56 +85,94 @@ def chamber_constants(n: int) -> ChamberConstants:
     )
 
 
-def _as_point(x: ArrayLike, strict: bool = True) -> np.ndarray:
+def _finite(**named: float | None) -> None:
+    """Refuse a NaN or infinite time or horizon, naming it (None passes)."""
+    for name, value in named.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _as_point(x: ArrayLike) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a 1-d coordinate vector")
-    if strict and np.any(np.diff(x) <= 0):
+    if not np.isfinite(x).all():
+        raise ValueError(f"point {x.tolist()} is not finite")
+    if (x[1:] <= x[:-1]).any():
         raise ValueError(f"point {x.tolist()} is not strictly increasing")
     return x
+
+
+def _on_chamber(y: ArrayLike, n: int | None, log_density: Callable) -> float | np.ndarray:
+    """exp(log_density(v, log h_N(v))) at the end points y (..., N) in the
+    open chamber (h_N > 0), 0 at the others, a float for one point; v is y
+    if all of it is in the chamber, else the (k, N) rows that are."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0 or (n is not None and y.shape[-1] != n):
+        raise ValueError("dimension mismatch")
+    if not np.isfinite(y).all():
+        raise ValueError("end points must be finite")
+    log_h = log_vandermonde_h(y)
+    if y.ndim == 1:
+        return math.exp(log_density(y, log_h)) if log_h > -math.inf else 0.0
+    inside = log_h > -np.inf
+    if inside.size and inside.all():
+        return np.exp(log_density(y, log_h))
+    out = np.zeros(inside.shape)
+    if inside.any():
+        out[inside] = np.exp(log_density(y[inside], log_h[inside]))
+    return out
 
 
 def vandermonde_h(x: ArrayLike) -> float:
     """Product of pairwise differences prod_{i<j} (x_j - x_i)."""
     x = np.asarray(x, dtype=float)
-    out = 1.0
-    for i in range(x.size):
-        for j in range(i + 1, x.size):
-            out *= x[j] - x[i]
-    return float(out)
+    pairs = itertools.combinations(range(x.size), 2)
+    return math.prod((float(x[j] - x[i]) for i, j in pairs), start=1.0)
 
 
-def log_vandermonde_h(x: np.ndarray) -> float:
-    out = 0.0
-    for i in range(x.size):
-        for j in range(i + 1, x.size):
-            d = x[j] - x[i]
-            if d <= 0:
-                return -math.inf
-            out += math.log(d)
+def log_vandermonde_h(x: ArrayLike) -> float | np.ndarray:
+    """log h_N over points x (..., N); -inf off the open chamber."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    for k in range(1, x.shape[-1]):  # the gaps x_(i+k) - x_i at distance k
+        out = out + np.add.reduce(_log_positive(x[..., k:] - x[..., :-k]), axis=-1)
     return out
 
 
-def _log_km(t: float, x: np.ndarray, y: np.ndarray) -> float:
-    """log of the heat-kernel determinant; -inf when it vanishes."""
-    n = x.size
-    a = (y[:, None] - x[None, :]) ** 2 / (2.0 * t)
-    row_min = a.min(axis=1)
-    det = float(np.linalg.det(np.exp(-(a - row_min[:, None]))))
-    if det <= 0.0:
-        return -math.inf
-    return -0.5 * n * math.log(2.0 * math.pi * t) - float(row_min.sum()) + math.log(det)
+def _log_positive(a: np.ndarray) -> float | np.ndarray:
+    """log a, with -inf (and no warning) where a <= 0."""
+    if a.ndim == 0:
+        return math.log(a) if a > 0.0 else -math.inf
+    if np.minimum.reduce(a, axis=None, initial=np.inf) > 0.0:  # the usual case
+        return np.log(a)
+    return np.log(a, out=np.full(a.shape, -np.inf), where=a > 0.0)
 
 
-def km_density(t: float, x: ArrayLike, y: ArrayLike) -> float:
-    """Absorbing-chamber transition density (heat-kernel determinant)."""
+def _log_km(t: float, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """log f_N(t, y | x) at the end points y (..., N); -inf where it vanishes."""
+    a = (y[..., None] - x) ** 2 / (2.0 * t)
+    row_min = np.minimum.reduce(a, axis=-1)
+    det = np.linalg.det(np.exp(row_min[..., None] - a))
+    log_scale = -0.5 * x.size * math.log(2.0 * math.pi * t)
+    return log_scale - np.add.reduce(row_min, axis=-1) + _log_positive(det)
+
+
+def _log_from_origin(v: np.ndarray, t: float, log_c: float, log_h: np.ndarray, p: float):
+    """log of c t^(-N^2/2) exp(-|v|^2/2t) h_N(v)^p, the from-origin factor of
+    both processes."""
+    n = v.shape[-1]
+    log_c -= 0.5 * n * n * math.log(t)
+    return log_c - np.add.reduce(v * v, axis=-1) / (2.0 * t) + p * log_h
+
+
+def km_density(t: float, x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
+    """Absorbing-chamber transition density f_N at the end points y (..., N)."""
+    _finite(t=t)
     if t <= 0:
         raise ValueError("time must be positive")
     x = _as_point(x)
-    y = _as_point(y)
-    if x.size != y.size:
-        raise ValueError("dimension mismatch")
-    return math.exp(_log_km(t, x, y))
+    return _on_chamber(y, x.size, lambda v, _: _log_km(t, x, v))
 
 
 def survival(
@@ -152,6 +192,7 @@ def survival(
     Gaussian sampling), "asymptotic" (small x/sqrt(t): h_N(x/sqrt(t)) /
     c_bar_N) and "closed_form" (N <= 2).
     """
+    _finite(t=t)
     if t < 0:
         raise ValueError("time must be nonnegative")
     x = _as_point(x)
@@ -159,8 +200,7 @@ def survival(
     if t == 0:
         return 1.0
     if method == "pfaffian":
-        log_pf, _, _ = _erf_pfaffian(np.array([t]), x[None, :])
-        return math.exp(log_pf[0])
+        return math.exp(_log_survival(t, x))
     if method == "closed_form":
         if n == 1:
             return 1.0
@@ -269,10 +309,15 @@ def survival_mc(
 
 
 def _is_origin(x: ArrayLike | None) -> bool:
-    if x is None:
-        return True
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(x == 0.0))
+    return x is None or not np.asarray(x, dtype=float).any()
+
+
+def _log_survival(tau: float, y: np.ndarray) -> float | np.ndarray:
+    """log N_N(tau, y) over chamber points y (..., N), by the erf Pfaffian."""
+    if tau == 0:
+        return 0.0
+    rows = y.reshape(-1, y.shape[-1])
+    return _erf_pfaffian(np.full(len(rows), tau), rows)[0].reshape(y.shape[:-1])
 
 
 def transition_inhomogeneous(
@@ -281,43 +326,32 @@ def transition_inhomogeneous(
     t: float,
     y: ArrayLike,
     horizon: float,
-) -> float:
+) -> float | np.ndarray:
     """Transition density of the walk conditioned to avoid collision up to
-    the finite horizon T, in its diffusion limit.
+    the finite horizon T, in its diffusion limit, at end points y (..., N).
 
     From the all-particles-at-origin state (s = 0 only):
         c_N T^(N(N-1)/4) t^(-N^2/2) exp(-|y|^2/2t) h_N(y) N_N(T-t, y);
     between chamber points:
         f_N(t-s, y|x) N_N(T-t, y) / N_N(T-s, x).
     """
-    y = _as_point(y)
-    n = y.size
+    _finite(s=s, t=t, horizon=horizon)
     if not 0 <= s < t <= horizon:
         raise ValueError("need 0 <= s < t <= T")
     if _is_origin(x):
         if s != 0:
             raise ValueError("origin state allowed only at s = 0")
-        cc = chamber_constants(n)
-        log_g = (
-            math.log(cc.c)
-            + 0.25 * n * (n - 1) * math.log(horizon)
-            - 0.5 * n * n * math.log(t)
-            - float(y @ y) / (2.0 * t)
-            + log_vandermonde_h(y)
-        )
-        surv = survival(horizon - t, y)
-        if surv <= 0:
-            return 0.0
-        return math.exp(log_g + math.log(surv))
+
+        def log_g(v: np.ndarray, log_h: np.ndarray) -> np.ndarray:
+            n = v.shape[-1]
+            log_c = math.log(chamber_constants(n).c) + n * (n - 1) / 4 * math.log(horizon)
+            return _log_from_origin(v, t, log_c, log_h, 1.0) + _log_survival(horizon - t, v)
+
+        return _on_chamber(y, None, log_g)
     x = _as_point(x)
-    if x.size != n:
-        raise ValueError("dimension mismatch")
-    num = survival(horizon - t, y)
-    den = survival(horizon - s, x)
-    if num <= 0:
-        return 0.0
-    return math.exp(
-        _log_km(t - s, x, y) + math.log(num) - math.log(den)
+    log_den = _log_survival(horizon - s, x)
+    return _on_chamber(
+        y, x.size, lambda v, _: _log_km(t - s, x, v) + _log_survival(horizon - t, v) - log_den
     )
 
 
@@ -326,37 +360,34 @@ def transition_homogeneous(
     x: ArrayLike | None,
     t: float,
     y: ArrayLike,
-) -> float:
-    """Transition density of the infinite-horizon (h-transform) process.
+) -> float | np.ndarray:
+    """Transition density of the infinite-horizon (h-transform) process at
+    the end points y (..., N).
 
     From the origin: c'_N t^(-N^2/2) exp(-|y|^2/2t) h_N(y)^2; between
     chamber points: f_N(t-s, y|x) h_N(y) / h_N(x).
     """
-    y = _as_point(y)
-    n = y.size
+    _finite(s=s, t=t)
     if not 0 <= s < t:
         raise ValueError("need 0 <= s < t")
     if _is_origin(x):
         if s != 0:
             raise ValueError("origin state allowed only at s = 0")
-        cc = chamber_constants(n)
-        return math.exp(
-            math.log(cc.c_prime)
-            - 0.5 * n * n * math.log(t)
-            - float(y @ y) / (2.0 * t)
-            + 2.0 * log_vandermonde_h(y)
-        )
+
+        def log_p(v: np.ndarray, log_h: np.ndarray) -> np.ndarray:
+            log_c = math.log(chamber_constants(v.shape[-1]).c_prime)
+            return _log_from_origin(v, t, log_c, log_h, 2.0)
+
+        return _on_chamber(y, None, log_p)
     x = _as_point(x)
-    if x.size != n:
-        raise ValueError("dimension mismatch")
-    return math.exp(
-        _log_km(t - s, x, y) + log_vandermonde_h(y) - log_vandermonde_h(x)
-    )
+    log_hx = log_vandermonde_h(x)
+    return _on_chamber(y, x.size, lambda v, log_h: _log_km(t - s, x, v) + log_h - log_hx)
 
 
 def drift_inhomogeneous(t: float, x: ArrayLike, horizon: float) -> np.ndarray:
     """Drift of the finite-horizon process: grad_x log N_N(T - t, x), from
     the erf Pfaffian."""
+    _finite(t=t, horizon=horizon)
     x = _as_point(x)
     if t >= horizon:
         raise ValueError("drift defined for t < T only")
@@ -523,15 +554,7 @@ def sample_from_origin(
             math.sqrt(2.0 * t0) * rng.standard_normal((block, n)), axis=1
         )
         r2 = np.sum(prop * prop, axis=1)
-        log_ratio = np.full(block, -r2 / (4.0 * t0))
-        if n > 1:
-            gaps_ok = np.all(np.diff(prop, axis=1) > 0, axis=1)
-            hs = np.ones(block)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    hs *= prop[:, j] - prop[:, i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_ratio += h_power * np.where(gaps_ok, np.log(np.abs(hs)), -np.inf)
+        log_ratio = h_power * log_vandermonde_h(prop) - r2 / (4.0 * t0)
         accept = rng.random(block) < np.exp(log_ratio) / bound
         got = prop[accept]
         take = min(size - filled, got.shape[0])
@@ -575,6 +598,7 @@ def grid_states(
         raise ValueError(f"unknown process {process!r}; known: {list(_INTEGRATORS)}")
     if n < 1 or n_steps < 1 or n_paths < 1:
         raise ValueError("need n >= 1, n_steps >= 1 and n_paths >= 1")
+    _finite(t_end=t_end, horizon=horizon)
     if horizon is not None and not 0 < t_end <= horizon:
         raise ValueError("need 0 < t_end <= T")
     dt = t_end / n_steps
@@ -741,27 +765,25 @@ def marginal_cdf_from_origin(
     coordinate, out to 2 past the grid, by the trapezoid rule on
     MARGINAL_NODES nodes in u, the gap to the grid point being span * u^2.
     In u the integrand vanishes to third order at 0, also at t = T, where
-    the density is only linear in the gap. The (grid x nodes) tensor is one
-    batched density evaluation, with one erf-Pfaffian call for
-    "inhomogeneous". ``verify.grid_cdf`` tabulates the result and raises
-    when the mass is far from 1. Used as the reference distribution in KS
-    tests.
+    the density is only linear in the gap. The (grid x nodes x 2) tensor of
+    end points is one call of the transition density. ``verify.grid_cdf``
+    tabulates the result and raises when the mass is far from 1. Used as
+    the reference distribution in KS tests.
     """
     if n != 2:
         raise ValueError("marginals implemented for N = 2")
     if coord not in (0, 1):
         raise ValueError("coord must be 0 or 1")
-    cc = chamber_constants(n)
     if kind == "homogeneous":
         if not t > 0:
             raise ValueError("need t > 0")
-        log_const, h_power = math.log(cc.c_prime), 2.0
+        joint = functools.partial(transition_homogeneous, 0.0, None, t)
     elif kind == "inhomogeneous":
         if horizon is None:
             raise ValueError("inhomogeneous marginal needs the horizon")
         if not 0 < t <= horizon:
             raise ValueError("need 0 < t <= T")
-        log_const, h_power = math.log(cc.c) + 0.25 * n * (n - 1) * math.log(horizon), 1.0
+        joint = functools.partial(transition_inhomogeneous, 0.0, None, t, horizon=horizon)
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -776,17 +798,8 @@ def marginal_cdf_from_origin(
         gap = span[:, None] * u * u
         v = np.broadcast_to(xs[:, None], gap.shape)
         y = np.stack((v, v + gap) if coord == 0 else (v - gap, v), axis=-1)
-        log_joint = (
-            log_const
-            - 0.5 * n * n * math.log(t)
-            - (y * y).sum(axis=-1) / (2.0 * t)
-            + h_power * np.log(gap)
-        )
-        if kind == "inhomogeneous" and t < horizon:
-            log_pf = _erf_pfaffian(np.full(gap.size, horizon - t), y.reshape(-1, n))[0]
-            log_joint += log_pf.reshape(gap.shape)
         # trapezoid rule in u, with d(gap)/du = 2 span u
-        weighted = np.exp(log_joint) * 2.0 * u
+        weighted = joint(y) * 2.0 * u
         return span / u.size * (weighted.sum(axis=1) - 0.5 * weighted[:, -1])
 
     return grid_cdf(density, lo, hi, grid_points)

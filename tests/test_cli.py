@@ -500,3 +500,101 @@ def test_schur_default_method_long_shape_in_bounded_time(capsys):
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run_cli(argv + ["--method", "bialternant"], capsys)
     assert code == 0 and proc.stdout == out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("density --kind survival --t nan --x 0,1", "t must be finite"),
+        ("density --kind survival --t inf --x 0,1,2", "t must be finite"),
+        ("density --kind survival --t 1 --x 0,nan", "not finite"),
+        ("density --kind km --t nan --x 0,1 --y 0.5,1.5", "t must be finite"),
+        ("density --kind p --t 1 --y 0,inf", "not finite"),
+        ("density --kind g --t 1 --horizon inf --y 0,1", "horizon must be finite"),
+        ("density --kind g --t 1 --horizon inf --grid -1:1:3", "horizon must be finite"),
+        ("simulate-dyson --n 2 --t nan --steps 4 --paths 2", "t_end must be finite"),
+        ("simulate-inhomogeneous --n 2 --horizon inf --t 1 --steps 4 --paths 2", "horizon must be finite"),
+    ],
+)
+def test_non_finite_arguments_exit_1_without_output(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    code, _, err = run_cli(argv.split() + ["--out", str(out)], capsys)
+    assert code == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--kind km --grid -1:1:3", "kind km needs --x"),
+        ("--kind km --y 0,1", "kind km needs --x"),
+        ("--kind g --grid -1:1:3", "kind g needs --horizon"),
+        ("--kind g --y 0,1", "kind g needs --horizon"),
+        ("--kind p --grid -1:1:3:4", "--grid must be lo:hi:count"),
+        ("--kind p --grid -1:1", "--grid must be lo:hi:count"),
+        ("--kind p --grid a:1:3", "--grid must be lo:hi:count"),
+        ("--kind p --grid -1:1:2.5", "--grid must be lo:hi:count"),
+        ("--kind p --grid -1:1:3 --y 0,1", "give --grid or --y, not both"),
+        ("--kind p --y 1,0", "point [1.0, 0.0] is not strictly increasing"),
+        ("--kind p", "kind p needs --y"),
+    ],
+)
+def test_density_argument_checks(flags, message, tmp_path, capsys):
+    out = tmp_path / "density.csv"
+    code, _, err = run_cli(["density", "--t", "1", *flags.split(), "--out", str(out)], capsys)
+    assert code == 1 and message in err
+    assert not out.exists()
+
+
+GRID_REQUESTS = {
+    name: flags.split()
+    for name, flags in (
+        ("km", "--kind km --t 0.8 --x -0.3,0.4"),
+        ("p origin", "--kind p --t 0.8 --x origin"),
+        ("p chamber", "--kind p --s 0.3 --t 0.8 --x -0.3,0.4"),
+        ("g origin", "--kind g --t 0.8 --horizon 1.5 --x origin"),
+        ("g chamber", "--kind g --s 0.3 --t 0.8 --horizon 1.5 --x -0.3,0.4"),
+        ("g origin t=T", "--kind g --t 0.8 --horizon 0.8 --x origin"),
+        ("g chamber t=T", "--kind g --s 0.3 --t 0.8 --horizon 0.8 --x -0.3,0.4"),
+    )
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_REQUESTS))
+def test_density_grid_matches_one_point_requests(name, tmp_path, capsys):
+    flags = GRID_REQUESTS[name]
+    out = tmp_path / "grid.csv"
+    assert run_cli(["density", *flags, "--grid", "-1.5:1.5:7", "--out", str(out)], capsys)[0] == 0
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["# seed=0", "y1,y2,value"] and len(lines) == 2 + 7 * 7
+    for line in lines[2:]:
+        a, b, value = line.split(",")
+        if float(a) >= float(b):
+            assert value == "0.0"
+            continue
+        code, text, _ = run_cli(["density", *flags, "--y", f"{a},{b}"], capsys)
+        assert code == 0
+        assert float(value) > 0.0
+        assert float(value) == pytest.approx(float(text), rel=1e-14)
+
+
+def test_density_grid_is_one_library_call(tmp_path, monkeypatch, capsys):
+    from noncollide import diffusion
+
+    calls = []
+    for name in ("km_density", "transition_homogeneous", "transition_inhomogeneous"):
+        def counting(*args, _density=getattr(diffusion, name), _name=name):
+            calls.append(_name)
+            return _density(*args)
+
+        monkeypatch.setattr(diffusion, name, counting)
+    for flags, name in (
+        (GRID_REQUESTS["km"], "km_density"),
+        (GRID_REQUESTS["p chamber"], "transition_homogeneous"),
+        (GRID_REQUESTS["g origin"], "transition_inhomogeneous"),
+    ):
+        calls.clear()
+        out = tmp_path / "grid.csv"
+        assert run_cli(["density", *flags, "--grid", "-2:2:20", "--out", str(out)], capsys)[0] == 0
+        assert calls == [name]
+        assert len(out.read_text().splitlines()) == 2 + 20 * 20

@@ -20,6 +20,7 @@ from noncollide.diffusion import (
     simulate_inhomogeneous,
     survival,
     survival_mc,
+    terminal,
     transition_homogeneous,
     transition_inhomogeneous,
     vandermonde_h,
@@ -511,3 +512,135 @@ def test_marginal_rejects_times_past_the_horizon():
         marginal_cdf_from_origin(2, 1.5, 0, kind="inhomogeneous", horizon=1.0)
     with pytest.raises(ValueError, match="needs the horizon"):
         marginal_cdf_from_origin(2, 0.5, 0, kind="inhomogeneous")
+
+
+# each transition density at a (k, m, N) batch of end points and one point at
+# a time; x is the chamber start where there is one
+DENSITIES = {
+    "km": lambda x, y: km_density(0.7, x, y),
+    "p origin": lambda x, y: transition_homogeneous(0.0, None, 0.7, y),
+    "p chamber": lambda x, y: transition_homogeneous(0.2, x, 0.7, y),
+    "g origin": lambda x, y: transition_inhomogeneous(0.0, None, 0.7, y, 1.3),
+    "g chamber": lambda x, y: transition_inhomogeneous(0.2, x, 0.7, y, 1.3),
+    "g origin t=T": lambda x, y: transition_inhomogeneous(0.0, None, 0.7, y, 0.7),
+    "g chamber t=T": lambda x, y: transition_inhomogeneous(0.2, x, 0.7, y, 0.7),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", list(DENSITIES))
+def test_batched_density_matches_one_point_calls(name, n):
+    density = DENSITIES[name]
+    x = np.linspace(-0.8, 0.8, n)
+    rng = np.random.default_rng(n)
+    y = np.cumsum(rng.uniform(0.2, 1.0, (3, 4, n)), axis=-1) - 1.5
+    batch = density(x, y)
+    one = [[density(x, point) for point in row] for row in y]
+    assert batch.shape == (3, 4)
+    assert all(type(v) is float for row in one for v in row)
+    assert np.all(batch > 0.0)
+    np.testing.assert_allclose(batch, one, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", list(DENSITIES))
+def test_densities_vanish_off_the_chamber(name):
+    density = DENSITIES[name]
+    x = np.array([-0.5, 0.1, 0.6])
+    inside = np.array([-0.4, 0.3, 1.2])
+    off = [
+        inside[[1, 2, 0]],  # a cyclic permutation: even, so the km determinant is positive
+        inside[::-1],
+        np.array([-0.4, 0.3, 0.3]),
+        np.array([0.3, 0.3, 0.3]),
+    ]
+    assert np.linalg.det(np.exp(-((off[0][:, None] - x) ** 2) / 1.4)) > 0.0
+    for y in off:
+        assert density(x, y) == 0.0
+    batch = density(x, np.array([inside, *off]))
+    assert batch[0] > 0.0 and batch[1:].tolist() == [0.0] * len(off)
+    assert density(x, np.empty((0, 3))).shape == (0,)
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE_CALLS = {
+    "survival t=inf N=1": (lambda: survival(INF, (0.0,)), "t must be finite"),
+    "survival t=inf N=3": (lambda: survival(INF, (0.0, 1.0, 2.0)), "t must be finite"),
+    "survival x nan": (lambda: survival(1.0, (0.0, NAN)), "not finite"),
+    "km t nan": (lambda: km_density(NAN, (0.0, 1.0), (0.5, 1.5)), "t must be finite"),
+    "km y inf": (lambda: km_density(1.0, (0.0, 1.0), (0.5, INF)), "end points must be finite"),
+    "p s nan": (lambda: transition_homogeneous(NAN, None, 1.0, (0.0, 1.0)), "s must be finite"),
+    "p t inf": (lambda: transition_homogeneous(0.0, None, INF, (0.0, 1.0)), "t must be finite"),
+    "g horizon inf": (
+        lambda: transition_inhomogeneous(0.0, None, 1.0, (0.0, 1.0), INF),
+        "horizon must be finite",
+    ),
+    "g x inf": (lambda: transition_inhomogeneous(0.0, (0.0, INF), 1.0, (0.0, 1.0), 2.0), "not finite"),
+    "drift horizon inf": (lambda: drift_inhomogeneous(0.0, (0.0, 1.0), INF), "horizon must be"),
+    "drift t nan": (lambda: drift_inhomogeneous(NAN, (0.0, 1.0), 1.0), "t must be finite"),
+    "engine x0 nan": (
+        lambda: terminal("dyson", 2, 1.0, 4, 3, np.random.default_rng(0), x0=(0.0, NAN)),
+        "not finite",
+    ),
+    "engine t_end nan": (
+        lambda: terminal("dyson", 2, NAN, 4, 3, np.random.default_rng(0)),
+        "t_end must be finite",
+    ),
+    "engine horizon inf": (
+        lambda: terminal("finite-horizon", 2, 1.0, 4, 3, np.random.default_rng(0), horizon=INF),
+        "horizon must be finite",
+    ),
+    "marginal horizon inf": (
+        lambda: marginal_cdf_from_origin(2, 0.5, 0, kind="inhomogeneous", horizon=INF),
+        "horizon must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_CALLS))
+def test_non_finite_inputs_raise(case):
+    call, message = NON_FINITE_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_two_matrix_model_has_the_two_time_law():
+    # N = 3, T = 1, s = 0.3, t = 0.7: two-time moments of the two-matrix
+    # model against importance sampling of the exact transition
+    # f_N(t - s) N_N(T - t) / N_N(T - s) from states drawn at s. The spread
+    # lambda_max - lambda_min at t tells the finite-horizon transition from
+    # the h-transform one; Cov(lambda_max(s), lambda_max(t)) alone does not.
+    from noncollide.diffusion import terminal, trajectories
+
+    s, t, horizon, proposals = 0.3, 0.7, 1.0, 100
+    traj = trajectories("matrix", 3, t, 7, 20_000, np.random.default_rng(86), horizon=horizon)
+    at_s, at_t = traj[:, 2], traj[:, 6]
+
+    rng = np.random.default_rng(87)
+    starts = terminal("matrix", 3, s, 3, 2_000, rng, horizon=horizon)
+    # per start x, unbiased estimates of E[f(state at t) | x] for f = 1,
+    # lambda_max and the spread
+    given = np.empty((len(starts), 3))
+    for k, x in enumerate(starts):
+        noise = rng.standard_normal((proposals, 3))
+        proposal = np.exp(-0.5 * (noise**2).sum(axis=1)) / (2.0 * math.pi * (t - s)) ** 1.5
+        y = x + math.sqrt(t - s) * noise
+        weight = transition_inhomogeneous(s, x, t, y, horizon) / proposal
+        given[k] = np.mean(weight * [np.ones(proposals), y[:, -1], y[:, -1] - y[:, 0]], axis=1)
+    mass, given_max, given_spread = given.T
+
+    def mean_and_stderr(terms):
+        return terms.mean(), terms.std(ddof=1) / math.sqrt(terms.size)
+
+    def centred(a, b):
+        return (a - a.mean()) * (b - b.mean())
+
+    spread_s, spread_t = at_s[:, -1] - at_s[:, 0], at_t[:, -1] - at_t[:, 0]
+    for exact, reference in (
+        (centred(at_s[:, -1], at_t[:, -1]), centred(starts[:, -1], given_max)),
+        (spread_s * spread_t, (starts[:, -1] - starts[:, 0]) * given_spread),
+    ):
+        (m_exact, se_exact), (m_ref, se_ref) = mean_and_stderr(exact), mean_and_stderr(reference)
+        assert abs(m_exact - m_ref) < 4.0 * math.hypot(se_exact, se_ref)
+    # the transition density integrates to 1 over the chamber
+    m_mass, se_mass = mean_and_stderr(mass)
+    assert abs(m_mass - 1.0) < 4.0 * se_mass

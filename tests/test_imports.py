@@ -31,6 +31,8 @@ commands = [
     ["sample-walk", "--start", "0,2", "--steps", "3", "--n", "5", "--out", str(work / "w.csv")],
     ["density", "--kind", "km", "--t", "1", "--x", "0,2", "--y", "0.5,1.5"],
     ["density", "--kind", "p", "--t", "1", "--y", "-0.3,0.8"],
+    ["density", "--kind", "km", "--t", "1", "--x", "0,2", "--grid", "-1:1:5"],
+    ["density", "--kind", "p", "--t", "1", "--grid", "-1:1:5"],
     ["simulate-dyson", "--n", "2", "--t", "1", "--steps", "4", "--paths", "3", "--out", str(dyson)],
     ["simulate-matrix", "--n", "2", "--t", "1", "--steps", "20", "--paths", "10", "--out", str(matrix)],
     ["verify-sde", "--in", str(matrix), "--gamma-steps", "10"],
