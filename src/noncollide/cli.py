@@ -16,6 +16,12 @@ on first use, by the commands that need it: ``density --kind g`` and
 ``verify`` suites that run a KS, chi-square, quadrature or erf check. The
 lattice commands, ``density --kind km`` and ``p``, ``simulate-dyson``,
 ``simulate-matrix`` and ``verify-sde`` never load it.
+
+The parser is built once per process, on the first ``build_parser()`` call,
+and every later call and every ``run`` share it. Callers must not modify it.
+It is built from code alone and holds nothing from a request:
+``parse_args`` returns a fresh namespace and leaves the parser as it was,
+and the handlers reach the library through module attributes at call time.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import argparse
 import contextlib
 import decimal
 import filecmp
+import functools
 import json
 import math
 import re
@@ -463,7 +470,11 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call; every later call returns the
+    same object. It is shared by every ``run`` in the process, so callers
+    must not modify it."""
     parser = argparse.ArgumentParser(
         prog="noncollide",
         description="vicious walkers, Schur functions, path determinants, "

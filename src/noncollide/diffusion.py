@@ -293,6 +293,9 @@ def survival_mc(
     ordered proposals times the determinant/product likelihood ratio is an
     unbiased estimator of the chamber integral.
     """
+    _finite(t=t)
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t!r}")
     if rng is None:
         raise ValueError("montecarlo survival needs an explicit generator")
     x = _as_point(x)
@@ -601,6 +604,8 @@ def grid_states(
     _finite(t_end=t_end, horizon=horizon)
     if horizon is not None and not 0 < t_end <= horizon:
         raise ValueError("need 0 < t_end <= T")
+    if t_end <= 0:
+        raise ValueError(f"t_end must be positive, got {t_end!r}")
     dt = t_end / n_steps
     if process == "matrix":
         if not _is_origin(x0):

@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import hashlib
 import json
@@ -598,3 +599,54 @@ def test_density_grid_is_one_library_call(tmp_path, monkeypatch, capsys):
         assert run_cli(["density", *flags, "--grid", "-2:2:20", "--out", str(out)], capsys)[0] == 0
         assert calls == [name]
         assert len(out.read_text().splitlines()) == 2 + 20 * 20
+
+
+@pytest.mark.parametrize("command", ["simulate-dyson", "simulate-matrix"])
+def test_simulate_at_time_zero_exits_1_without_output(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [command, "--n", "2", "--t", "0", "--steps", "4", "--paths", "2", "--out", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1 and "t_end must be positive" in err
+    assert not out.exists()
+
+
+# mixed kinds of request, each run in turn; --s is given, then left out, and
+# the second round's count prints its seed after a run with --seed 5
+REUSE_SEQUENCE = [
+    "count --start 0,2 --end 0,2 --steps 4 --format json",
+    "density --kind p --t 1 --x 0,1 --y 0.5,1.5 --s 0.3",
+    "density --kind p --t 1 --x 0,1 --y 0.5,1.5",
+    "simulate-dyson --n 2 --t 0.5 --steps 4 --paths 3 --seed 5",
+    "count --start 0,2",  # --end and --steps missing: usage error
+    "count --start 0,2 --end 1,3 --steps 2",  # parity: the handler's ValueError
+]
+
+
+def _outcome(argv, capsys):
+    """Exit code (or the SystemExit code), stdout and stderr of one run."""
+    try:
+        code = cli.run(argv.split())
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_reused_and_keeps_nothing_between_runs(monkeypatch, capsys):
+    first = [_outcome(argv, capsys) for argv in REUSE_SEQUENCE]  # also the warm-up
+    assert [outcome[0] for outcome in first] == [0, 0, 0, 0, ("SystemExit", 2), 1]
+    assert json.loads(first[0][1]) == {"seed": 0, "value": "20"}
+    assert "parity" in first[-1][2]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert [_outcome(argv, capsys) for argv in REUSE_SEQUENCE] == first
+    # without --s the default s = 0.0 comes back, not the 0.3 parsed before
+    assert float(first[1][1]) != float(first[2][1])
+    assert _outcome(REUSE_SEQUENCE[2] + " --s 0.0", capsys) == first[2]
+    assert built == []

@@ -644,3 +644,24 @@ def test_two_matrix_model_has_the_two_time_law():
     # the transition density integrates to 1 over the chamber
     m_mass, se_mass = mean_and_stderr(mass)
     assert abs(m_mass - 1.0) < 4.0 * se_mass
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+@pytest.mark.parametrize("process", ["dyson", "finite-horizon", "matrix"])
+def test_engine_refuses_nonpositive_t_end(process, t_end):
+    # without a horizon only this check bounds t_end from below: at t_end = 0
+    # the Dyson step halves until it underflows, and the matrix process
+    # would stay at zero
+    horizon = 1.0 if process == "finite-horizon" else None
+    with pytest.raises(ValueError, match="t_end"):
+        terminal(process, 2, t_end, 4, 3, np.random.default_rng(0), horizon=horizon)
+
+
+@pytest.mark.parametrize(
+    "t, message", [(0.0, "t must be positive"), (-1.0, "t must be positive"), (NAN, "t must be finite")]
+)
+def test_survival_mc_checks_its_time(t, message):
+    with pytest.raises(ValueError, match=message):
+        survival_mc(t, (0.0, 1.0), np.random.default_rng(0), 1000)
+    # the front door still answers t = 0 itself: nothing has moved yet
+    assert survival(0.0, (0.0, 1.0), method="montecarlo", rng=np.random.default_rng(0)) == 1.0
