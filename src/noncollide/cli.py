@@ -9,6 +9,13 @@ time, each path formatted as one text block; floats are written with
 print their value (exact integers and rationals in full decimal, never
 scientific notation); ``density --grid`` is one batched library call.
 
+The global flags are ``--seed``, ``--out`` and ``--format``, accepted before
+or after the subcommand; every command, ``verify`` included, writes to
+``--out`` or stdout. ``density --kind survival`` is de Bruijn's erf
+Pfaffian, the one survival route (quadrature, the small-gap asymptotic and
+Monte Carlo are library test oracles), and ``density`` refuses a flag that
+its kind does not use.
+
 Importing this module loads numpy and the package only; scipy is imported
 on first use, by the commands that need it: ``density --kind g`` and
 ``--kind survival`` (de Bruijn's erf Pfaffian), ``simulate-inhomogeneous``
@@ -308,6 +315,11 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_density(args, cfg: RunConfig) -> int:
+    unused = {"km": ("s", "horizon"), "p": ("horizon",), "survival": ("s", "y", "horizon")}
+    for name in unused.get(args.kind, ()):
+        if getattr(args, name) is not None:
+            raise ValueError(f"kind {args.kind} takes no --{name}")
+    s = 0.0 if args.s is None else args.s
     x = None if args.x in (None, "", "origin") else _floats(args.x)
     if args.kind in ("km", "survival") and x is None:
         raise ValueError(f"kind {args.kind} needs --x")
@@ -329,15 +341,13 @@ def _cmd_density(args, cfg: RunConfig) -> int:
     elif args.kind != "survival":
         raise ValueError(f"kind {args.kind} needs --y")
     if args.kind == "survival":
-        value = diffusion.survival(
-            args.t, x, method=args.method, rng=np.random.default_rng(cfg.seed)
-        )
+        value = diffusion.survival(args.t, x)
     elif args.kind == "km":
         value = diffusion.km_density(args.t, x, y)
     elif args.kind == "g":
-        value = diffusion.transition_inhomogeneous(args.s, x, args.t, y, args.horizon)
+        value = diffusion.transition_inhomogeneous(s, x, args.t, y, args.horizon)
     else:
-        value = diffusion.transition_homogeneous(args.s, x, args.t, y)
+        value = diffusion.transition_homogeneous(s, x, args.t, y)
     if not args.grid:
         _emit_value(cfg, repr(float(value)))
         return 0
@@ -356,12 +366,9 @@ def _cmd_verify_sde(args, cfg: RunConfig) -> int:
     payload = report.to_dict()
     payload["gamma"] = [[float(v) for v in row] for row in gamma]
     payload["seed"] = cfg.seed
-    target = args.report or cfg.out
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if target:
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _open_out(cfg) as stream:
+        stream.write(text)
     return 0
 
 
@@ -449,19 +456,20 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         if unknown:
             raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
     reports: list[TestReport] = []
-    for name in names:
-        for report in available[name]():
-            reports.append(report)
-            status = "PASS" if report.passed else "FAIL"
-            print(f"{status} {report.name} (statistic={report.statistic:.6g}, "
-                  f"threshold={report.threshold:.6g})")
-    if args.report:
-        payload = [r.to_dict() for r in reports]
-        Path(args.report).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    failed = sum(not r.passed for r in reports)
-    print(f"{len(reports) - failed}/{len(reports)} checks passed")
+    with _open_out(cfg) as stream:
+        for name in names:
+            for report in available[name]():
+                reports.append(report)
+                status = "PASS" if report.passed else "FAIL"
+                print(f"{status} {report.name} (statistic={report.statistic:.6g}, "
+                      f"threshold={report.threshold:.6g})", file=stream)
+        if args.report:
+            payload = [r.to_dict() for r in reports]
+            Path(args.report).write_text(
+                json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+        failed = sum(not r.passed for r in reports)
+        print(f"{len(reports) - failed}/{len(reports)} checks passed", file=stream)
     return 0 if failed == 0 else 1
 
 
@@ -485,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default="csv"
     )
-    threads_help = "accepted for compatibility; simulate chunks run in order"
-    parser.add_argument("--threads", type=int, default=1, help=threads_help)
 
     # the global flags are also accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering values parsed by the main parser
@@ -496,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default=argparse.SUPPRESS
     )
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS, help=threads_help)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -564,15 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("density", help="evaluate densities / survival")
     p.add_argument("--kind", choices=("km", "g", "p", "survival"), required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--s", type=float, default=None, help="start time of g and p (default 0)")
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None)
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument(
-        "--method",
-        choices=("pfaffian", "quadrature", "montecarlo", "asymptotic", "closed_form"),
-        default="pfaffian",
-    )
     p.add_argument("--grid", default=None, help="lo:hi:count CSV grid (N=2)")
     p.set_defaults(func=_cmd_density)
 
@@ -583,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify-sde", help="drift/QV report from a paths CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--report", default=None)
     p.add_argument("--gamma-steps", type=int, default=20000)
     p.set_defaults(func=_cmd_verify_sde)
 

@@ -138,6 +138,18 @@ def canonical_start(n: int) -> tuple[int, ...]:
     return tuple(2 * i for i in range(n))
 
 
+def check_start(x: Sequence[int]) -> tuple[int, ...]:
+    """The start as a tuple of ints; raises unless even and strictly increasing."""
+    x = tuple(int(v) for v in x)
+    for v in x:
+        if v % 2 != 0:
+            raise ValueError(f"start position {v} is odd")
+    for a, b in zip(x, x[1:]):
+        if a >= b:
+            raise ValueError("start not strictly increasing")
+    return x
+
+
 @dataclass(frozen=True)
 class WalkRecord:
     """N walkers, T steps of +-1 each, never sharing a site.
@@ -162,12 +174,7 @@ class WalkRecord:
             for s in row:
                 if s not in (-1, 1):
                     raise ValueError(f"step {s} not in {{-1,+1}}")
-        for x in start:
-            if x % 2 != 0:
-                raise ValueError(f"start position {x} is odd")
-        for a, b in zip(start, start[1:]):
-            if a >= b:
-                raise ValueError("start not strictly increasing")
+        check_start(start)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "horizon", horizon)

@@ -29,8 +29,9 @@ A^-1 o E, E_ij = dA_ij/dx_j. A^-1 is formed from the Pfaffians of the
 (N-2)-point minors, which keeps the drift accurate where the LU inverse
 cancels. The float determinant loses digits as the gaps shrink against
 sqrt(t); a call raises ValueError when cond_1(A) * eps exceeds
-COND_LIMIT = 1e-6. Quadrature, Monte Carlo, the N <= 2 closed form and the
-small-gap asymptotic stay as named oracle methods of ``survival``.
+COND_LIMIT = 1e-6. Quadrature (``survival_quadrature``), the small-gap
+asymptotic (``survival_asymptotic``) and Monte Carlo (``survival_mc``) are
+test oracles of their own, which no production route calls.
 
 One engine, ``grid_states``, steps all three processes (the h-transform,
 the finite-horizon process and the eigenvalues of Hermitian matrix
@@ -175,57 +176,46 @@ def km_density(t: float, x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
     return _on_chamber(y, x.size, lambda v, _: _log_km(t, x, v))
 
 
-def survival(
-    t: float,
-    x: ArrayLike,
-    method: str = "pfaffian",
-    rng: np.random.Generator | None = None,
-    n_samples: int = 200_000,
-    tol: float = 1e-7,
-) -> float:
-    """No-collision probability N_N(t, x) of the chamber Brownian motion.
+def survival(t: float, x: ArrayLike) -> float:
+    """No-collision probability N_N(t, x) of the chamber Brownian motion, by
+    de Bruijn's erf Pfaffian, exact for any N; 1.0 at t = 0.
 
-    The default "pfaffian" is de Bruijn's erf Pfaffian, exact for any N; it
-    raises ValueError when cond_1(A) * eps exceeds COND_LIMIT = 1e-6 (see
-    the module docstring). Oracle methods: "quadrature" (N <= 3, adaptive,
-    abs error below tol), "montecarlo" (any N, importance-corrected
-    Gaussian sampling), "asymptotic" (small x/sqrt(t): h_N(x/sqrt(t)) /
-    c_bar_N) and "closed_form" (N <= 2).
+    Raises ValueError when cond_1(A) * eps exceeds COND_LIMIT = 1e-6 (see
+    the module docstring). The test oracles are ``survival_quadrature``,
+    ``survival_asymptotic`` and ``survival_mc``; at N = 2 the answer is
+    erf((x_2 - x_1) / 2 sqrt(t)).
     """
     _finite(t=t)
     if t < 0:
         raise ValueError("time must be nonnegative")
-    x = _as_point(x)
-    n = x.size
-    if t == 0:
-        return 1.0
-    if method == "pfaffian":
-        return math.exp(_log_survival(t, x))
-    if method == "closed_form":
-        if n == 1:
-            return 1.0
-        if n == 2:
-            from scipy.special import erf
+    return math.exp(_log_survival(t, _as_point(x)))
 
-            return float(erf((x[1] - x[0]) / (2.0 * math.sqrt(t))))
-        raise ValueError("closed form available only for N <= 2")
-    if method == "asymptotic":
-        return vandermonde_h(x / math.sqrt(t)) / chamber_constants(n).c_bar
-    if method == "quadrature":
-        if n == 1:
-            return 1.0
-        if n > 3:
-            raise ValueError("quadrature supported for N <= 3 only")
-        width = 10.0 * math.sqrt(t)
-        lo = float(x[0] - width)
-        hi = float(x[-1] + width)
-        return quadrature_integrate(
-            lambda *ys: math.exp(_log_km(t, x, np.array(ys))), lo, hi, n, tol=tol
-        )
-    if method == "montecarlo":
-        est, _ = survival_mc(t, x, rng, n_samples)
-        return est
-    raise ValueError(f"unknown survival method {method!r}")
+
+def survival_quadrature(t: float, x: ArrayLike, tol: float = 1e-7) -> float:
+    """Test oracle for ``survival`` at N <= 3: adaptive quadrature of f_N
+    over the chamber, absolute error below tol."""
+    _finite(t=t)
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    x = _as_point(x)
+    width = 10.0 * math.sqrt(t)
+    return quadrature_integrate(
+        lambda *ys: math.exp(_log_km(t, x, np.array(ys))),
+        float(x[0] - width),
+        float(x[-1] + width),
+        x.size,
+        tol=tol,
+    )
+
+
+def survival_asymptotic(t: float, x: ArrayLike) -> float:
+    """Test oracle for ``survival`` at small x / sqrt(t): h_N(x / sqrt(t)) /
+    c_bar_N, the leading term as the gaps shrink."""
+    _finite(t=t)
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    x = _as_point(x)
+    return vandermonde_h(x / math.sqrt(t)) / chamber_constants(x.size).c_bar
 
 
 COND_LIMIT = 1e-6  # largest cond_1(A) * eps the erf Pfaffian may return at
@@ -760,16 +750,14 @@ def marginal_cdf_from_origin(
     coord: int,
     kind: str = "homogeneous",
     horizon: float | None = None,
-    lo: float | None = None,
-    hi: float | None = None,
     grid_points: int = 1201,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """CDF of one coordinate of the from-origin law at time t (N = 2 only).
 
-    At each grid point the joint density is integrated over the other
-    coordinate, out to 2 past the grid, by the trapezoid rule on
-    MARGINAL_NODES nodes in u, the gap to the grid point being span * u^2.
-    In u the integrand vanishes to third order at 0, also at t = T, where
+    The grid is grid_points points on +-6 sqrt(N t). At each grid point the
+    joint density is integrated over the other coordinate, out to 2 past
+    the grid, by the trapezoid rule on MARGINAL_NODES nodes in u, the gap
+    to the grid point being span * u^2. In u the integrand vanishes to third order at 0, also at t = T, where
     the density is only linear in the gap. The (grid x nodes x 2) tensor of
     end points is one call of the transition density. ``verify.grid_cdf``
     tabulates the result and raises when the mass is far from 1. Used as
@@ -792,9 +780,8 @@ def marginal_cdf_from_origin(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    width = 6.0 * math.sqrt(t) * math.sqrt(n)
-    lo = -width if lo is None else lo
-    hi = width if hi is None else hi
+    hi = 6.0 * math.sqrt(t) * math.sqrt(n)
+    lo = -hi
     # the node u = 0 adds nothing: the density is 0 at gap 0
     u = np.linspace(0.0, 1.0, MARGINAL_NODES)[1:]
 

@@ -21,6 +21,10 @@ import numpy as np
 from .diffusion import SamplePath, dyson_drift, sample_path, terminal, trajectories
 
 DIAG_RESIDUAL_TOL = 1e-10
+GAP_FACTOR = 10.0  # the drift regression drops segments from gaps below this * sqrt(dt)
+DRIFT_QV_CHUNK = 4096  # paths per chunk of drift_qv_report
+GAMMA_DT = 1e-3  # step of estimate_gamma's increments
+GAMMA_T_START = 1.0  # time of estimate_gamma's starting matrix
 
 
 @dataclass(frozen=True)
@@ -243,32 +247,22 @@ class _DriftQVAccumulator:
             intercept = self.sr / n
             rss = self.srr - n * intercept**2
             sigma2 = max(rss, 0.0) / (n - 1.0)
-            qv_mean = self.qv_sum / n
-            qv_var = max(self.qv_sumsq / n - qv_mean**2, 0.0)
-            return DriftQVReport(
-                slope=slope,
-                intercept=intercept,
-                slope_se=math.inf,
-                intercept_se=math.sqrt(sigma2 / n),
-                qv_per_time=qv_mean / self.dt,
-                qv_se=math.sqrt(qv_var / n) / self.dt,
-                n_points=self.n,
-                dt=self.dt,
-                gap_floor=self.gap_floor,
+            slope_se = math.inf
+            intercept_se = math.sqrt(sigma2 / n)
+        else:
+            slope = (n * self.spr - self.sp * self.sr) / denom
+            intercept = (self.sr - slope * self.sp) / n
+            rss = (
+                self.srr
+                - 2.0 * slope * self.spr
+                - 2.0 * intercept * self.sr
+                + slope**2 * self.spp
+                + 2.0 * slope * intercept * self.sp
+                + n * intercept**2
             )
-        slope = (n * self.spr - self.sp * self.sr) / denom
-        intercept = (self.sr - slope * self.sp) / n
-        rss = (
-            self.srr
-            - 2.0 * slope * self.spr
-            - 2.0 * intercept * self.sr
-            + slope**2 * self.spp
-            + 2.0 * slope * intercept * self.sp
-            + n * intercept**2
-        )
-        sigma2 = max(rss, 0.0) / (n - 2.0)
-        slope_se = math.sqrt(sigma2 * n / denom)
-        intercept_se = math.sqrt(sigma2 * self.spp / denom)
+            sigma2 = max(rss, 0.0) / (n - 2.0)
+            slope_se = math.sqrt(sigma2 * n / denom)
+            intercept_se = math.sqrt(sigma2 * self.spp / denom)
         qv_mean = self.qv_sum / n
         qv_var = max(self.qv_sumsq / n - qv_mean**2, 0.0)
         return DriftQVReport(
@@ -284,14 +278,11 @@ class _DriftQVAccumulator:
         )
 
 
-def estimate_drift_qv(
-    paths: Iterable[SamplePath],
-    gap_factor: float = 10.0,
-) -> DriftQVReport:
+def estimate_drift_qv(paths: Iterable[SamplePath]) -> DriftQVReport:
     """Drift regression and realized QV over a collection of grid paths.
 
     Paths must share their time grid. Segments whose starting minimal gap
-    is below gap_factor * sqrt(dt) are excluded: the local-error scale of
+    is below GAP_FACTOR * sqrt(dt) are excluded: the local-error scale of
     the repulsion drift explodes there.
     """
     acc: _DriftQVAccumulator | None = None
@@ -299,7 +290,7 @@ def estimate_drift_qv(
     for path in paths:
         if acc is None:
             dt = float(path.times[1] - path.times[0])
-            acc = _DriftQVAccumulator(dt, gap_factor * math.sqrt(dt))
+            acc = _DriftQVAccumulator(dt, GAP_FACTOR * math.sqrt(dt))
             grid = path.times
         elif path.times.shape != grid.shape or not np.allclose(path.times, grid):
             raise ValueError("paths must share a common time grid")
@@ -317,19 +308,17 @@ def drift_qv_report(
     dt: float,
     rng: np.random.Generator,
     t_start: float = 0.25,
-    gap_factor: float = 10.0,
-    chunk: int = 4096,
 ) -> DriftQVReport:
     """Batched driver for the SDE-structure check.
 
     Spreads the spectrum by starting the matrix process at t_start, then
     evolves n_steps increments of size dt, streaming the regression sums
-    chunk by chunk so memory stays flat.
+    DRIFT_QV_CHUNK paths at a time so memory stays flat.
     """
-    acc = _DriftQVAccumulator(dt, gap_factor * math.sqrt(dt))
+    acc = _DriftQVAccumulator(dt, GAP_FACTOR * math.sqrt(dt))
     done = 0
     while done < n_paths:
-        size = min(chunk, n_paths - done)
+        size = min(DRIFT_QV_CHUNK, n_paths - done)
         xi = hermitian_increment_batch(n, t_start, rng, size)
         lam_prev = _eigvalsh_batch(xi)
         for _ in range(n_steps):
@@ -360,11 +349,10 @@ def estimate_gamma(
     n: int,
     n_steps: int,
     rng: np.random.Generator,
-    dt: float = 1e-3,
-    t_start: float = 1.0,
     conjugation: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Empirical carre-du-champ matrix of the eigenvalue process.
+    """Empirical carre-du-champ matrix of the eigenvalue process, from
+    n_steps increments of size GAMMA_DT after a start at GAMMA_T_START.
 
     ``conjugation``, if given, is a fixed unitary applied to every matrix
     increment before accumulation; by unitary invariance of the matrix
@@ -372,11 +360,11 @@ def estimate_gamma(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    start = hermitian_increment_batch(n, t_start, rng, 1)[0]
-    increments = hermitian_increment_batch(n, dt, rng, n_steps)
+    start = hermitian_increment_batch(n, GAMMA_T_START, rng, 1)[0]
+    increments = hermitian_increment_batch(n, GAMMA_DT, rng, n_steps)
     if conjugation is not None:
         v = np.asarray(conjugation, dtype=complex)
         if not np.allclose(v.conj().T @ v, np.eye(n), atol=1e-10):
             raise ValueError("conjugation must be unitary")
         increments = np.einsum("ji,kjl,lm->kim", v.conj(), increments, v)
-    return gamma_from_increments(start, increments, dt)
+    return gamma_from_increments(start, increments, GAMMA_DT)

@@ -299,7 +299,7 @@ def survival_closed_form() -> list[TestReport]:
     ]
     for t, x in pts:
         exact = math.erf((x[1] - x[0]) / (2.0 * math.sqrt(t)))
-        quad = diffusion.survival(t, x, method="quadrature")
+        quad = diffusion.survival_quadrature(t, x)
         worst = max(worst, abs(quad - exact))
     reports.append(
         TestReport(
@@ -315,7 +315,7 @@ def survival_closed_form() -> list[TestReport]:
     for t, gap in ((1.0, 0.1), (1.0, 0.05), (4.0, 0.2), (0.25, 0.05), (9.0, 0.3)):
         x = (0.0, gap)
         exact = math.erf(gap / (2.0 * math.sqrt(t)))
-        approx = diffusion.survival(t, x, method="asymptotic")
+        approx = diffusion.survival_asymptotic(t, x)
         worst_rel = max(worst_rel, abs(approx / exact - 1.0))
     reports.append(
         TestReport(
@@ -519,9 +519,7 @@ def sde_structure_suite() -> list[TestReport]:
             detail=f"qv/time {rep.qv_per_time:.4f} +- {rep.qv_se:.4f}",
         ),
     ]
-    gamma = rmt.estimate_gamma(
-        2, 100_000, np.random.default_rng(SEEDS["sde_gamma"]), dt=1e-3
-    )
+    gamma = rmt.estimate_gamma(2, 100_000, np.random.default_rng(SEEDS["sde_gamma"]))
     dev = float(np.max(np.abs(gamma - 1.0)))
     reports.append(
         TestReport(

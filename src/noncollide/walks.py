@@ -25,24 +25,12 @@ from ._exact import (
     det_bareiss,
     sample_categorical_exact,
 )
-from .combinat import WalkRecord, canonical_start
+from .combinat import WalkRecord, canonical_start, check_start
 from .diffusion import chamber_constants, vandermonde_h
 
 
 class RetryCapError(RuntimeError):
     pass
-
-
-def check_start(x: Sequence[int]) -> tuple[int, ...]:
-    """The start as a tuple of ints; raises unless even and strictly increasing."""
-    x = tuple(int(v) for v in x)
-    for v in x:
-        if v % 2 != 0:
-            raise ValueError(f"start position {v} is odd")
-    for a, b in zip(x, x[1:]):
-        if a >= b:
-            raise ValueError("start not strictly increasing")
-    return x
 
 
 def count_vicious(x: Sequence[int], y: Sequence[int], horizon: int) -> int:

@@ -134,27 +134,6 @@ def test_sample_walk_deterministic(tmp_path, capsys):
     assert len(lines) == 2 + 25 * 4 * 2
 
 
-def test_simulate_threads_do_not_change_output(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    base = [
-        "simulate-dyson",
-        "--n",
-        "2",
-        "--t",
-        "0.5",
-        "--steps",
-        "16",
-        "--paths",
-        "40",
-        "--seed",
-        "11",
-    ]
-    assert run_cli(base + ["--out", str(a), "--threads", "1"], capsys)[0] == 0
-    assert run_cli(base + ["--out", str(b), "--threads", "4"], capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_simulate_matrix_csv_schema(tmp_path, capsys):
     out = tmp_path / "eig.csv"
     code, _, _ = run_cli(
@@ -206,7 +185,7 @@ def test_verify_sde_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     code, _, _ = run_cli(
-        ["verify-sde", "--in", str(eig), "--report", str(report), "--seed", "5"],
+        ["verify-sde", "--in", str(eig), "--out", str(report), "--seed", "5"],
         capsys,
     )
     assert code == 0
@@ -224,6 +203,14 @@ def test_verify_suite_subset(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
     payload = json.loads(report.read_text())
     assert all(entry["passed"] for entry in payload)
+
+
+def test_verify_writes_its_lines_to_out(tmp_path, capsys):
+    out = tmp_path / "verify.txt"
+    code, stdout, _ = run_cli(["verify", "--suite", "pinned"], capsys)
+    assert code == 0 and stdout.startswith("PASS ")
+    assert run_cli(["verify", "--suite", "pinned", "--out", str(out)], capsys) == (0, "", "")
+    assert out.read_text() == stdout
 
 
 def test_verify_unknown_suite(capsys):
@@ -337,12 +324,11 @@ PINNED_CHUNKED = [
 ]
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
 @pytest.mark.parametrize("argv, digest", PINNED_CHUNKED)
-def test_chunked_simulate_csv_is_pinned(argv, digest, threads, tmp_path, monkeypatch, capsys):
+def test_chunked_simulate_csv_is_pinned(argv, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "CHUNK_VALUES", 1000)
     out = tmp_path / "paths.csv"
-    code, _, err = run_cli(argv + ["--threads", threads, "--out", str(out)], capsys)
+    code, _, err = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -538,6 +524,13 @@ def test_non_finite_arguments_exit_1_without_output(argv, message, tmp_path, cap
         ("--kind p --grid -1:1:3 --y 0,1", "give --grid or --y, not both"),
         ("--kind p --y 1,0", "point [1.0, 0.0] is not strictly increasing"),
         ("--kind p", "kind p needs --y"),
+        ("--kind km --x 0,1 --y 0.5,1.5 --s 0.5", "kind km takes no --s"),
+        ("--kind km --x 0,1 --y 0.5,1.5 --s 0", "kind km takes no --s"),
+        ("--kind km --x 0,1 --y 0.5,1.5 --horizon 2", "kind km takes no --horizon"),
+        ("--kind p --y 0.5,1.5 --horizon 2", "kind p takes no --horizon"),
+        ("--kind survival --x 0,1 --s 0.5", "kind survival takes no --s"),
+        ("--kind survival --x 0,1 --y 0.5,1.5", "kind survival takes no --y"),
+        ("--kind survival --x 0,1 --horizon 2", "kind survival takes no --horizon"),
     ],
 )
 def test_density_argument_checks(flags, message, tmp_path, capsys):
@@ -650,3 +643,49 @@ def test_parser_is_reused_and_keeps_nothing_between_runs(monkeypatch, capsys):
     assert float(first[1][1]) != float(first[2][1])
     assert _outcome(REUSE_SEQUENCE[2] + " --s 0.0", capsys) == first[2]
     assert built == []
+
+
+# every option string of the CLI, per parser; a flag added or removed shows here
+CLI_OPTIONS = {
+    "noncollide": "-h --help --seed --out --format",
+    "count": "-h --help --seed --out --format --start --end --steps",
+    "tableau": "-h --help --seed --out --format --to --in --n --steps",
+    "schur": "-h --help --seed --out --format --shape --points --n-vars --method",
+    "lgv": "-h --help --seed --out --format --graph --sources --sinks --check-compatibility",
+    "sample-walk": "-h --help --seed --out --format --start --steps --n",
+    "scaling-check": "-h --help --seed --out --format --start --t --y --scale",
+    "simulate-dyson": "-h --help --seed --out --format --n --t --steps --paths",
+    "simulate-matrix": "-h --help --seed --out --format --n --t --steps --paths",
+    "simulate-inhomogeneous": "-h --help --seed --out --format --n --horizon --t --steps --paths",
+    "density": "-h --help --seed --out --format --kind --t --s --x --y --horizon --grid",
+    "verify": "-h --help --seed --out --format --suite --report",
+    "verify-sde": "-h --help --seed --out --format --in --gamma-steps",
+}
+
+
+def _option_strings(parser):
+    return " ".join(o for action in parser._actions for o in action.option_strings)
+
+
+def test_cli_option_census():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {"noncollide": _option_strings(parser)}
+    options.update((name, _option_strings(child)) for name, child in sub.choices.items())
+    assert options == CLI_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "density --kind survival --t 1 --x 0,1 --method quadrature",
+        "--threads 2 count --start 0,2 --end 0,2 --steps 2",
+        "count --start 0,2 --end 0,2 --steps 2 --threads 2",
+        "verify-sde --in paths.csv --report x",
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.run(argv.split())
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: noncollide")

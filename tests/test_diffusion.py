@@ -19,7 +19,9 @@ from noncollide.diffusion import (
     simulate_dyson,
     simulate_inhomogeneous,
     survival,
+    survival_asymptotic,
     survival_mc,
+    survival_quadrature,
     terminal,
     transition_homogeneous,
     transition_inhomogeneous,
@@ -99,24 +101,20 @@ def test_km_density_symmetry_and_positivity():
 def test_survival_methods():
     assert survival(0.7, [1.0]) == 1.0
     exact = math.erf(1.0)
-    assert survival(1.0, [0.0, 2.0], method="closed_form") == pytest.approx(exact)
-    assert survival(1.0, [0.0, 2.0], method="quadrature") == pytest.approx(
-        exact, abs=1e-7
-    )
-    approx = survival(1.0, [0.0, 0.1], method="asymptotic")
+    assert survival(1.0, [0.0, 2.0]) == pytest.approx(exact)
+    assert survival_quadrature(1.0, [0.0, 2.0]) == pytest.approx(exact, abs=1e-7)
+    approx = survival_asymptotic(1.0, [0.0, 0.1])
     assert approx == pytest.approx(0.1 / math.sqrt(math.pi), rel=1e-12)
     assert abs(approx / math.erf(0.05) - 1.0) < 1e-3
     est, err = survival_mc(1.0, np.array([0.0, 2.0]), np.random.default_rng(4), 200_000)
     assert abs(est - exact) < 4 * err
     with pytest.raises(ValueError):
-        survival(1.0, [0.0, 1.0, 2.0, 3.0], method="quadrature")
-    with pytest.raises(ValueError):
-        survival(1.0, [0.0, 2.0], method="nope")
+        survival_quadrature(1.0, [0.0, 1.0, 2.0, 3.0])
 
 
 def test_survival_three_walkers_quadrature_vs_mc():
     x = [0.0, 1.0, 2.5]
-    quad = survival(0.8, x, method="quadrature", tol=1e-6)
+    quad = survival_quadrature(0.8, x, tol=1e-6)
     est, err = survival_mc(0.8, np.array(x), np.random.default_rng(8), 400_000)
     assert abs(quad - est) < 4 * err
 
@@ -664,4 +662,4 @@ def test_survival_mc_checks_its_time(t, message):
     with pytest.raises(ValueError, match=message):
         survival_mc(t, (0.0, 1.0), np.random.default_rng(0), 1000)
     # the front door still answers t = 0 itself: nothing has moved yet
-    assert survival(0.0, (0.0, 1.0), method="montecarlo", rng=np.random.default_rng(0)) == 1.0
+    assert survival(0.0, (0.0, 1.0)) == 1.0

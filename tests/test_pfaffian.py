@@ -12,6 +12,7 @@ import pytest
 from noncollide.diffusion import (
     drift_inhomogeneous,
     survival,
+    survival_quadrature,
     transition_inhomogeneous,
 )
 
@@ -53,7 +54,7 @@ def _mp_reference(tau, x):
 
 def test_default_route_matches_quadrature_three_walkers():
     x = [0.0, 1.0, 2.5]
-    assert abs(survival(0.8, x) - survival(0.8, x, method="quadrature")) < 1e-7
+    assert abs(survival(0.8, x) - survival_quadrature(0.8, x)) < 1e-7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -165,10 +165,10 @@ def test_single_walker_drift_is_zero():
 
 
 def test_estimate_gamma():
-    gamma = estimate_gamma(2, 30_000, np.random.default_rng(63), dt=1e-3)
+    gamma = estimate_gamma(2, 30_000, np.random.default_rng(63))
     assert gamma.shape == (2, 2)
     assert np.max(np.abs(gamma - 1.0)) < 0.05
-    g1 = estimate_gamma(1, 20_000, np.random.default_rng(64), dt=1e-3)
+    g1 = estimate_gamma(1, 20_000, np.random.default_rng(64))
     assert abs(g1[0, 0] - 1.0) < 0.05
 
 
@@ -178,7 +178,7 @@ def test_estimate_gamma_unitary_invariance():
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     gamma = estimate_gamma(
-        3, 30_000, np.random.default_rng(66), dt=1e-3, conjugation=q
+        3, 30_000, np.random.default_rng(66), conjugation=q
     )
     assert np.max(np.abs(gamma - 1.0)) < 0.06
     with pytest.raises(ValueError):
