@@ -436,15 +436,22 @@ def _advance_batch(
 ) -> None:
     """Advance every path by one grid step of size dt, in place.
 
-    A proposed move that breaks the strict ordering is retried with half
-    the step (fresh noise), and an accepted sub-step doubles the next one,
-    capped by what remains; sub-step bookkeeping is exact (integer dyadic
-    units), so each path consumes exactly dt.
+    The first proposal is the full step for every path. A proposed move
+    that breaks the strict ordering is retried with half the step (fresh
+    noise), and an accepted sub-step doubles the next one, capped by what
+    remains; sub-step bookkeeping is exact (integer dyadic units), so each
+    path consumes exactly dt.
     """
-    n_paths = states.shape[0]
+    prop = states + drift(states, np.full(len(states), t0)) * dt
+    prop += math.sqrt(dt) * rng.standard_normal(states.shape)
+    ok = _ordered(prop)
+    if ok.all():
+        states[...] = prop
+        return
+    states[ok] = prop[ok]
     unit = dt / float(1 << MAX_HALVINGS)
-    remaining = np.full(n_paths, 1 << MAX_HALVINGS, dtype=np.int64)
-    h_units = np.full(n_paths, 1 << MAX_HALVINGS, dtype=np.int64)
+    remaining = np.where(ok, np.int64(0), np.int64(1 << MAX_HALVINGS))
+    h_units = np.where(ok, np.int64(1), np.int64(1 << (MAX_HALVINGS - 1)))
     while True:
         active = np.nonzero(remaining > 0)[0]
         if active.size == 0:
@@ -458,11 +465,7 @@ def _advance_batch(
             + b * h[:, None]
             + np.sqrt(h)[:, None] * rng.standard_normal(x.shape)
         )
-        ok = (
-            np.all(np.diff(prop, axis=1) > 0, axis=1)
-            if prop.shape[1] > 1
-            else np.ones(active.size, dtype=bool)
-        )
+        ok = _ordered(prop)
         good = active[ok]
         states[good] = prop[ok]
         remaining[good] -= h_units[good]
@@ -475,6 +478,13 @@ def _advance_batch(
                     f"after {MAX_HALVINGS} halvings"
                 )
             h_units[bad] //= 2
+
+
+def _ordered(states: np.ndarray) -> np.ndarray:
+    """Whether each row of states (paths, N) is strictly increasing."""
+    if states.shape[1] == 1:
+        return np.ones(len(states), dtype=bool)
+    return np.all(np.diff(states, axis=1) > 0, axis=1)
 
 
 def dyson_drift(states: np.ndarray, _t: np.ndarray | None = None) -> np.ndarray:
@@ -579,7 +589,9 @@ def grid_states(
 ) -> Iterator[np.ndarray]:
     """Yield the (n_paths, n) state at each time of the grid (module
     docstring), dt = t_end / n_steps. The array yielded is the live state,
-    which the next step overwrites in place: copy what you keep.
+    which the next step overwrites in place; a matrix state is a view into
+    its block of steps (``rmt.eigen_steps``) and keeps the whole block
+    alive. Copy what you keep.
 
     ``process`` is "dyson" (the h-transform), "finite-horizon" (conditioned
     to avoid collision up to ``horizon``) or "matrix" (eigenvalues of
@@ -603,16 +615,7 @@ def grid_states(
         from . import rmt  # rmt imports this module
 
         xi = np.zeros((n_paths, n, n), dtype=complex)
-        for k in range(1, n_steps + 1):
-            step = rmt.hermitian_increment_batch(n, dt, rng, n_paths)
-            if horizon is not None:
-                # the antisymmetric part is a Brownian bridge to 0 at T:
-                # b_k = r b_(k-1) + N(0, r dt / 2), r = (T - t_k) / (T - t_(k-1))
-                r = max((horizon - k * dt) / (horizon - (k - 1) * dt), 0.0)
-                xi.imag *= r
-                step.imag *= math.sqrt(r)
-            xi += step
-            yield rmt._eigvalsh_batch(xi)
+        yield from rmt.eigen_steps(xi, dt, n_steps, rng, horizon)
         return
     if process == "dyson":
         drift, horizon = dyson_drift, None

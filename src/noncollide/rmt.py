@@ -8,13 +8,18 @@ distribution; the pairwise-repulsion SDE structure of those paths (drift
 slope 1, unit quadratic variation, unit carre-du-champ matrix) is verified
 statistically rather than used as the generator, which keeps the matrix
 route an independent oracle for the interacting-particle integrator.
+
+``eigen_steps`` is the one matrix stepper: it draws the increments of a
+block of grid steps at once, accumulates them, and diagonalises the whole
+block in one batched call. ``diffusion.grid_states`` and
+``drift_qv_report`` both step through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +30,7 @@ GAP_FACTOR = 10.0  # the drift regression drops segments from gaps below this * 
 DRIFT_QV_CHUNK = 4096  # paths per chunk of drift_qv_report
 GAMMA_DT = 1e-3  # step of estimate_gamma's increments
 GAMMA_T_START = 1.0  # time of estimate_gamma's starting matrix
+MATRIX_BLOCK = 1 << 14  # complex matrix entries per block of eigen_steps (at least one step)
 
 
 @dataclass(frozen=True)
@@ -67,20 +73,66 @@ class EigenFrame:
 
 
 def hermitian_increment_batch(
-    n: int, dt: float, rng: np.random.Generator, size: int
+    n: int, dt: float, rng: np.random.Generator, size: int, steps: int | None = None
 ) -> np.ndarray:
-    """(size, n, n) independent Hermitian Brownian increments over dt."""
-    out = np.zeros((size, n, n), dtype=complex)
+    """(size, n, n) independent Hermitian Brownian increments over dt; with
+    ``steps``, (steps, size, n, n), step k being exactly what the k-th of
+    ``steps`` successive calls without it would draw.
+
+    One standard-normal draw holds size * (n + 2K) values per step, K =
+    n(n-1)/2, which are split into the diagonal, the real parts and the
+    imaginary parts of the upper triangle, in that order.
+    """
+    k = n * (n - 1) // 2
+    draws = rng.standard_normal((1 if steps is None else steps, size * (n + 2 * k)))
+    diag, re, im = np.split(draws, [size * n, size * (n + k)], axis=1)
+    lead = (draws.shape[0], size)
+    out = np.zeros(lead + (n, n), dtype=complex)
     idx = np.arange(n)
-    out[:, idx, idx] = math.sqrt(dt) * rng.standard_normal((size, n))
+    out[..., idx, idx] = math.sqrt(dt) * diag.reshape(lead + (n,))
     if n > 1:
         iu, ju = np.triu_indices(n, 1)
         scale = math.sqrt(dt / 2.0)
-        re = scale * rng.standard_normal((size, iu.size))
-        im = scale * rng.standard_normal((size, iu.size))
-        out[:, iu, ju] = re + 1j * im
-        out[:, ju, iu] = re - 1j * im
-    return out
+        re = scale * re.reshape(lead + (k,))
+        im = scale * im.reshape(lead + (k,))
+        out[..., iu, ju] = re + 1j * im
+        out[..., ju, iu] = re - 1j * im
+    return out[0] if steps is None else out
+
+
+def eigen_steps(
+    xi: np.ndarray,
+    dt: float,
+    n_steps: int,
+    rng: np.random.Generator,
+    horizon: float | None = None,
+) -> Iterator[np.ndarray]:
+    """Add n_steps Hermitian Brownian increments over dt to the matrices xi
+    (paths, n, n), in place, and yield the ascending eigenvalues (paths, n)
+    after each step.
+
+    With a ``horizon`` T, xi being the state at time 0, the antisymmetric
+    part is a Brownian bridge to 0 at T: the two-matrix model of the
+    ``diffusion`` module docstring. The increments of a block of steps, at
+    most MATRIX_BLOCK complex entries, are drawn at once and the block is
+    diagonalised in one call; the random stream is that of one draw per
+    step. Each block is a new array, and a yielded array is a view that
+    keeps its whole block alive: copy what you keep.
+    """
+    size, n = xi.shape[0], xi.shape[-1]
+    per_block = max(1, MATRIX_BLOCK // (size * n * n))
+    for first in range(0, n_steps, per_block):
+        steps = min(per_block, n_steps - first)
+        block = hermitian_increment_batch(n, dt, rng, size, steps)
+        for k, step in enumerate(block, start=first + 1):
+            if horizon is not None:
+                # b_k = r b_(k-1) + N(0, r dt / 2), r = (T - t_k) / (T - t_(k-1))
+                r = max((horizon - k * dt) / (horizon - (k - 1) * dt), 0.0)
+                xi.imag *= r
+                step.imag *= math.sqrt(r)
+            xi += step
+            step[...] = xi
+        yield from _eigvalsh_batch(block.reshape(-1, n, n)).reshape(steps, size, n)
 
 
 def sample_hermitian_bm(
@@ -292,7 +344,9 @@ def estimate_drift_qv(paths: Iterable[SamplePath]) -> DriftQVReport:
             dt = float(path.times[1] - path.times[0])
             acc = _DriftQVAccumulator(dt, GAP_FACTOR * math.sqrt(dt))
             grid = path.times
-        elif path.times.shape != grid.shape or not np.allclose(path.times, grid):
+        elif path.times is not grid and (
+            path.times.shape != grid.shape or not np.allclose(path.times, grid)
+        ):
             raise ValueError("paths must share a common time grid")
         lam = path.states
         acc.add(lam[:-1], lam[1:])
@@ -321,9 +375,7 @@ def drift_qv_report(
         size = min(DRIFT_QV_CHUNK, n_paths - done)
         xi = hermitian_increment_batch(n, t_start, rng, size)
         lam_prev = _eigvalsh_batch(xi)
-        for _ in range(n_steps):
-            xi += hermitian_increment_batch(n, dt, rng, size)
-            lam = _eigvalsh_batch(xi)
+        for lam in eigen_steps(xi, dt, n_steps, rng):
             acc.add(lam_prev, lam)
             lam_prev = lam
         done += size

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -663,3 +664,69 @@ def test_survival_mc_checks_its_time(t, message):
         survival_mc(t, (0.0, 1.0), np.random.default_rng(0), 1000)
     # the front door still answers t = 0 itself: nothing has moved yet
     assert survival(0.0, (0.0, 1.0)) == 1.0
+
+
+def _per_step_matrix_eigenvalues(n, dt, n_steps, size, rng, horizon=None):
+    # reference: one increment draw and one diagonalisation per grid step
+    from noncollide.rmt import _eigvalsh_batch, hermitian_increment_batch
+
+    xi = np.zeros((size, n, n), dtype=complex)
+    out = []
+    for k in range(1, n_steps + 1):
+        step = hermitian_increment_batch(n, dt, rng, size)
+        if horizon is not None:
+            r = max((horizon - k * dt) / (horizon - (k - 1) * dt), 0.0)
+            xi.imag *= r
+            step.imag *= math.sqrt(r)
+        xi += step
+        out.append(_eigvalsh_batch(xi))
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("steps_per_block", [1, 5, None])
+@pytest.mark.parametrize("horizon", [None, 1.2])
+def test_matrix_blocks_keep_the_per_step_stream(steps_per_block, horizon, monkeypatch):
+    # 13 grid steps of 6 paths: one step per block, blocks of 5, 5 and 3
+    # steps, or the default cap (one block)
+    from noncollide import rmt
+    from noncollide.diffusion import trajectories
+
+    for n in (1, 2, 3, 5):
+        if steps_per_block is not None:
+            monkeypatch.setattr(rmt, "MATRIX_BLOCK", steps_per_block * 6 * n * n)
+        got = trajectories("matrix", n, 1.0, 13, 6, np.random.default_rng(n), horizon=horizon)
+        expected = _per_step_matrix_eigenvalues(
+            n, 1.0 / 13, 13, 6, np.random.default_rng(n), horizon
+        )
+        assert np.array_equal(got, expected)
+
+
+# sha256 of terminal states on grids where some steps need halving,
+# recorded while the full-step first proposal was still the first pass of
+# the halving loop
+HALVING_PINNED = [
+    ("dyson", (0.0, 0.05, 0.1), None, 500, 3,
+     "4ec373a6d9e1d14318c80e101d2d7827977b0e99071ad00c371578e22a72970a"),
+    ("finite-horizon", (0.0, 0.3, 0.6), 2.0, 200, 4,
+     "9470ca4e35c15e55877913bbc98ea5cc63b843d20b41b5e0ce8aa6874546dc52"),
+]
+
+
+@pytest.mark.parametrize("process, x0, horizon, paths, seed, digest", HALVING_PINNED)
+def test_halving_outputs_are_pinned(process, x0, horizon, paths, seed, digest, monkeypatch):
+    from noncollide import diffusion
+
+    calls = [0]
+    advance = diffusion._advance_batch
+
+    def counting_advance(states, t0, dt, drift, rng):
+        def counted(*args):
+            calls[0] += 1
+            return drift(*args)
+
+        advance(states, t0, dt, counted, rng)
+
+    monkeypatch.setattr(diffusion, "_advance_batch", counting_advance)
+    states = terminal(process, 3, 1.0, 20, paths, np.random.default_rng(seed), x0=x0, horizon=horizon)
+    assert calls[0] > 20  # some grid step was halved
+    assert hashlib.sha256(states.tobytes()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -208,3 +210,45 @@ def test_gamma_path_equals_sequential_sums():
         rotated = np.einsum("kji,kjl,klm->kim", u.conj(), increments, u)
         expected = (rotated * np.swapaxes(rotated, 1, 2)).real.mean(axis=0) / 1e-3
         assert np.array_equal(gamma_from_increments(start, increments, 1e-3), expected)
+
+
+def _increment_from_draws(n, dt, rng, size):
+    # reference: the diagonal, then the real and the imaginary parts of the
+    # upper triangle, each its own draw
+    out = np.zeros((size, n, n), dtype=complex)
+    out[:, range(n), range(n)] = math.sqrt(dt) * rng.standard_normal((size, n))
+    iu, ju = np.triu_indices(n, 1)
+    re = math.sqrt(dt / 2.0) * rng.standard_normal((size, iu.size))
+    im = math.sqrt(dt / 2.0) * rng.standard_normal((size, iu.size))
+    out[:, iu, ju] = re + 1j * im
+    out[:, ju, iu] = re - 1j * im
+    return out
+
+
+def test_increment_step_axis_reads_the_stream_as_successive_calls():
+    for n in range(1, 6):
+        blocked = hermitian_increment_batch(n, 0.3, np.random.default_rng(n), 4, steps=5)
+        rng = np.random.default_rng(n)
+        calls = [hermitian_increment_batch(n, 0.3, rng, 4) for _ in range(5)]
+        rng = np.random.default_rng(n)
+        expected = [_increment_from_draws(n, 0.3, rng, 4) for _ in range(5)]
+        assert blocked.shape == (5, 4, n, n)
+        assert np.array_equal(blocked, np.stack(calls))
+        assert np.array_equal(blocked, np.stack(expected))
+
+
+# sha256 of the to_dict() JSON of drift_qv_report(3, 20, 13, 1e-3, rng(91)),
+# recorded when the report drew and diagonalised one step at a time
+DRIFT_QV_PINNED = "45c99f8aebe2eb7f61a0a450379459dbace6804c17db23260082cbafd80930b2"
+
+
+@pytest.mark.parametrize("steps_per_block", [1, 5, None])
+def test_drift_qv_report_does_not_depend_on_the_block(steps_per_block, monkeypatch):
+    # 13 steps of 20 paths at N = 3: one step per block, blocks of 5, 5 and
+    # 3 steps, or the default cap (one block)
+    from noncollide import rmt
+
+    if steps_per_block is not None:
+        monkeypatch.setattr(rmt, "MATRIX_BLOCK", steps_per_block * 20 * 3 * 3)
+    report = drift_qv_report(3, 20, 13, 1e-3, np.random.default_rng(91)).to_dict()
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == DRIFT_QV_PINNED
