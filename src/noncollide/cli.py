@@ -263,18 +263,12 @@ def _cmd_scaling_check(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _dyson_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
-    return diffusion.trajectories("dyson", args.n, args.t, args.steps, size, rng)
-
-
-def _inhomogeneous_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
+def _chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, steps, n) paths of the simulate command's process."""
     return diffusion.trajectories(
-        "finite-horizon", args.n, args.t, args.steps, size, rng, horizon=args.horizon
+        args.process, args.n, args.t, args.steps, size, rng,
+        horizon=getattr(args, "horizon", None),
     )
-
-
-def _matrix_chunk(args, size: int, rng: np.random.Generator) -> np.ndarray:
-    return diffusion.trajectories("matrix", args.n, args.t, args.steps, size, rng)
 
 
 CHUNK_VALUES = 2_000_000  # simulated values per chunk of paths
@@ -285,12 +279,6 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         raise ValueError("--t must not exceed --horizon")
     if args.steps < 1 or args.paths < 1 or args.n < 1:
         raise ValueError("need positive --n, --steps and --paths")
-    # looked up per run, so a replaced chunk function is the one used
-    chunk_fn = {
-        "dyson": _dyson_chunk,
-        "finite-horizon": _inhomogeneous_chunk,
-        "matrix": _matrix_chunk,
-    }[args.process]
     dt = args.t / args.steps
     chunk = max(1, CHUNK_VALUES // (args.steps * args.n))
     sizes = [min(chunk, args.paths - done) for done in range(0, args.paths, chunk)]
@@ -302,7 +290,8 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
         pid = 0
         for size, seq in zip(sizes, seeds):
-            block = chunk_fn(args, size, np.random.default_rng(seq))
+            # a module attribute looked up per chunk, so a test can substitute it
+            block = _chunk(args, size, np.random.default_rng(seq))
             for values in block.reshape(block.shape[0], -1):
                 head = str(pid)
                 yield "".join(
@@ -392,14 +381,7 @@ def _read_paths_csv(path: str) -> list[diffusion.SamplePath]:
             f"{path}: expected paths*steps*N = {shape[0]}*{shape[1]}*{shape[2]} "
             f"= {expected} rows, one per (path_id, t, i); found {data.shape[0]}"
         )
-    times = axes[1]
-    step = float(times[1] - times[0]) if times.size > 1 else 0.0
-    return [
-        diffusion.SamplePath(
-            times=times, states=states, seed=None, step_size=step, integrator="csv"
-        )
-        for states in value[order].reshape(shape)
-    ]
+    return [diffusion.SamplePath(axes[1], states) for states in value[order].reshape(shape)]
 
 
 DETERMINISM_COMMANDS: list[list[str]] = [

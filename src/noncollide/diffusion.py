@@ -38,8 +38,9 @@ the finite-horizon process and the eigenvalues of Hermitian matrix
 Brownian motion) on the grid of step dt = t_end / n_steps. From the origin
 the grid is dt, 2 dt, ..., t_end, and the first state is drawn exactly
 (all particles coincide at t = 0); from a chamber point x0 it is
-0, dt, ..., t_end, starting with x0. ``trajectories`` stacks the states,
-``terminal`` keeps the last one and ``sample_path`` is the one-path view.
+0, dt, ..., t_end, starting with x0. ``trajectories`` stacks the states
+and ``terminal`` keeps the last one; one path is ``trajectories(..., 1,
+rng)[0]``, and a ``SamplePath`` pairs such a path with its grid times.
 
 From the origin the finite-horizon process is the eigenvalue process of the
 two-matrix model S(t) + iA(t) (Katori and Tanemura, Phys. Rev. E 66 (2002)
@@ -394,13 +395,11 @@ def asymptotic_drift(x: ArrayLike) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A discretized trajectory with strictly ordered states."""
+    """One path on a time grid: the states (len(times), N) at strictly
+    increasing times, each state strictly ordered."""
 
     times: np.ndarray
     states: np.ndarray
-    seed: int | None
-    step_size: float
-    integrator: str
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -570,11 +569,7 @@ def sample_from_origin(
 # One trajectory engine for the three processes
 # ---------------------------------------------------------------------------
 
-_INTEGRATORS = {
-    "dyson": "euler-maruyama/dyson",
-    "finite-horizon": "euler-maruyama/finite-horizon",
-    "matrix": "matrix-diagonalization",
-}
+_PROCESSES = ("dyson", "finite-horizon", "matrix")
 
 
 def grid_states(
@@ -588,10 +583,11 @@ def grid_states(
     horizon: float | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield the (n_paths, n) state at each time of the grid (module
-    docstring), dt = t_end / n_steps. The array yielded is the live state,
-    which the next step overwrites in place; a matrix state is a view into
-    its block of steps (``rmt.eigen_steps``) and keeps the whole block
-    alive. Copy what you keep.
+    docstring), dt = t_end / n_steps; a path is one row followed over the
+    grid, n_steps states from the origin and n_steps + 1 from x0. The array
+    yielded is the live state, which the next step overwrites in place; a
+    matrix state is a view into its block of steps (``rmt.eigen_steps``)
+    and keeps the whole block alive. Copy what you keep.
 
     ``process`` is "dyson" (the h-transform), "finite-horizon" (conditioned
     to avoid collision up to ``horizon``) or "matrix" (eigenvalues of
@@ -599,8 +595,8 @@ def grid_states(
     two-matrix model). From the origin both SDEs start with the exact draw
     ``_gue_start`` at dt. Bad arguments raise at the first state.
     """
-    if process not in _INTEGRATORS:
-        raise ValueError(f"unknown process {process!r}; known: {list(_INTEGRATORS)}")
+    if process not in _PROCESSES:
+        raise ValueError(f"unknown process {process!r}; known: {list(_PROCESSES)}")
     if n < 1 or n_steps < 1 or n_paths < 1:
         raise ValueError("need n >= 1, n_steps >= 1 and n_paths >= 1")
     _finite(t_end=t_end, horizon=horizon)
@@ -660,47 +656,6 @@ def terminal(*args, **kwargs) -> np.ndarray:
     return deque(grid_states(*args, **kwargs), maxlen=1)[0]
 
 
-def sample_path(
-    process: str, t_end: float, n_steps: int, states: np.ndarray, seed_label: int | None
-) -> SamplePath:
-    """One path, ``trajectories(process, n, t_end, n_steps, 1, ...)[0]``,
-    with its grid times."""
-    dt = t_end / n_steps
-    times = np.arange(n_steps + 1 - len(states), n_steps + 1) * dt
-    return SamplePath(times, states, seed_label, dt, _INTEGRATORS[process])
-
-
-def simulate_dyson(
-    x0: ArrayLike | None,
-    t_end: float,
-    n_steps: int,
-    rng: np.random.Generator,
-    n: int | None = None,
-    seed_label: int | None = None,
-) -> SamplePath:
-    """Euler-Maruyama path of the pairwise-repulsion SDE
-    dY_i = dB_i + sum_{j != i} dt / (Y_i - Y_j), from x0 or the origin."""
-    if n is None:
-        if x0 is None:
-            raise ValueError("dimension n required for an origin start")
-        n = np.size(x0)
-    states = trajectories("dyson", n, t_end, n_steps, 1, rng, x0)
-    return sample_path("dyson", t_end, n_steps, states[0], seed_label)
-
-
-def simulate_inhomogeneous(
-    n: int,
-    horizon: float,
-    n_steps: int,
-    rng: np.random.Generator,
-    seed_label: int | None = None,
-) -> SamplePath:
-    """Euler-Maruyama path of the finite-horizon conditioned process from
-    the origin, up to the horizon."""
-    states = trajectories("finite-horizon", n, horizon, n_steps, 1, rng, None, horizon)
-    return sample_path("finite-horizon", horizon, n_steps, states[0], seed_label)
-
-
 def dyson_terminal_batch(
     n: int,
     t_end: float,
@@ -718,18 +673,6 @@ def dyson_trajectories(
 ) -> np.ndarray:
     """(n_paths, n_steps, n) from-origin Dyson trajectories."""
     return trajectories("dyson", n, t_end, n_steps, n_paths, rng)
-
-
-def inhomogeneous_trajectories(
-    n: int,
-    horizon: float,
-    t_end: float,
-    n_steps: int,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(n_paths, n_steps, n) finite-horizon trajectories up to t_end <= T."""
-    return trajectories("finite-horizon", n, t_end, n_steps, n_paths, rng, None, horizon)
 
 
 def inhomogeneous_terminal_batch(

@@ -12,7 +12,12 @@ route an independent oracle for the interacting-particle integrator.
 ``eigen_steps`` is the one matrix stepper: it draws the increments of a
 block of grid steps at once, accumulates them, and diagonalises the whole
 block in one batched call. ``diffusion.grid_states`` and
-``drift_qv_report`` both step through it.
+``drift_qv_report`` both step through it; eigenvalue paths come from
+``diffusion.trajectories("matrix", ...)``. The estimators below read paths
+(``estimate_drift_qv`` takes ``SamplePath`` records) or draw their own
+batches (``drift_qv_report``, ``estimate_gamma``). No eigenbasis is given
+a phase convention: the carre-du-champ products (U* dXi U)_ij
+(U* dXi U)_ji do not depend on the phases of the eigenvectors.
 """
 
 from __future__ import annotations
@@ -23,53 +28,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .diffusion import SamplePath, dyson_drift, sample_path, terminal, trajectories
+from .diffusion import SamplePath, dyson_drift, terminal, trajectories
 
-DIAG_RESIDUAL_TOL = 1e-10
 GAP_FACTOR = 10.0  # the drift regression drops segments from gaps below this * sqrt(dt)
 DRIFT_QV_CHUNK = 4096  # paths per chunk of drift_qv_report
 GAMMA_DT = 1e-3  # step of estimate_gamma's increments
 GAMMA_T_START = 1.0  # time of estimate_gamma's starting matrix
 MATRIX_BLOCK = 1 << 14  # complex matrix entries per block of eigen_steps (at least one step)
-
-
-@dataclass(frozen=True)
-class HermitianState:
-    """A Hermitian matrix sampled at a fixed time."""
-
-    matrix: np.ndarray
-    time: float
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.allclose(m, m.conj().T, atol=1e-12):
-            raise ValueError("matrix is not Hermitian")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class EigenFrame:
-    """Ordered eigenvalues with a deterministically-phased eigenbasis."""
-
-    eigenvalues: np.ndarray
-    unitary: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        u = np.asarray(self.unitary, dtype=complex)
-        if np.any(np.diff(lam) < 0):
-            raise ValueError("eigenvalues must be in increasing order")
-        n = lam.size
-        if not np.allclose(u.conj().T @ u, np.eye(n), atol=DIAG_RESIDUAL_TOL):
-            raise ValueError("basis is not unitary to tolerance")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "unitary", u)
 
 
 def hermitian_increment_batch(
@@ -135,33 +100,6 @@ def eigen_steps(
         yield from _eigvalsh_batch(block.reshape(-1, n, n)).reshape(steps, size, n)
 
 
-def sample_hermitian_bm(
-    n: int, t: float, rng: np.random.Generator
-) -> HermitianState:
-    """The matrix Brownian motion at a single time."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if t <= 0:
-        raise ValueError("time must be positive")
-    return HermitianState(hermitian_increment_batch(n, t, rng, 1)[0], t)
-
-
-def eigen_frame(matrix: np.ndarray) -> EigenFrame:
-    """Diagonalize with eigenvalues ascending and a fixed phase convention:
-    each eigenvector's largest-modulus component is made real positive."""
-    m = np.asarray(matrix, dtype=complex)
-    lam, u = np.linalg.eigh(m)
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        pivot = np.argmax(np.abs(col))
-        phase = col[pivot] / abs(col[pivot])
-        u[:, k] = col / phase
-    residual = np.max(np.abs(u.conj().T @ m @ u - np.diag(lam)))
-    if residual > DIAG_RESIDUAL_TOL:
-        raise RuntimeError(f"diagonalization residual {residual} above tolerance")
-    return EigenFrame(lam, u)
-
-
 def _eigvalsh_batch(matrices: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues, closed form for 2x2 (hot path), LAPACK above."""
     n = matrices.shape[-1]
@@ -175,19 +113,6 @@ def _eigvalsh_batch(matrices: np.ndarray) -> np.ndarray:
         rad = np.sqrt(0.25 * (a - d) ** 2 + (b * b.conj()).real)
         return np.stack([mid - rad, mid + rad], axis=-1)
     return np.linalg.eigvalsh(matrices)
-
-
-def eigen_path(
-    n: int,
-    t_end: float,
-    n_steps: int,
-    rng: np.random.Generator,
-    seed_label: int | None = None,
-) -> SamplePath:
-    """Eigenvalue path of the matrix Brownian motion started from zero,
-    recorded from the first grid time on; each state is exact in law."""
-    states = trajectories("matrix", n, t_end, n_steps, 1, rng)
-    return sample_path("matrix", t_end, n_steps, states[0], seed_label)
 
 
 def eigen_terminal_batch(
@@ -341,6 +266,10 @@ def estimate_drift_qv(paths: Iterable[SamplePath]) -> DriftQVReport:
     grid: np.ndarray | None = None
     for path in paths:
         if acc is None:
+            if path.times.size < 2:
+                raise ValueError(
+                    f"paths need at least two grid times, got {path.times.size}"
+                )
             dt = float(path.times[1] - path.times[0])
             acc = _DriftQVAccumulator(dt, GAP_FACTOR * math.sqrt(dt))
             grid = path.times
@@ -369,6 +298,12 @@ def drift_qv_report(
     evolves n_steps increments of size dt, streaming the regression sums
     DRIFT_QV_CHUNK paths at a time so memory stays flat.
     """
+    for name, count in (("n", n), ("n_paths", n_paths), ("n_steps", n_steps)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count!r}")
+    for name, value in (("dt", dt), ("t_start", t_start)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     acc = _DriftQVAccumulator(dt, GAP_FACTOR * math.sqrt(dt))
     done = 0
     while done < n_paths:
@@ -387,8 +322,9 @@ def gamma_from_increments(
 ) -> np.ndarray:
     """Mean of (U* dXi U)_ij (U* dXi U)_ji / dt along one matrix path.
 
-    U is the phased eigenbasis of the state before each increment; for the
-    Hermitian Brownian increments every entry has expectation 1.
+    U is an eigenbasis (``eigh``) of the state before each increment; the
+    products do not depend on the phases of its columns. For the Hermitian
+    Brownian increments every entry has expectation 1.
     """
     start = np.asarray(start, dtype=complex)
     path = np.cumsum(np.concatenate([start[None], increments[:-1]]), axis=0)

@@ -441,10 +441,8 @@ def equivalence_suite() -> list[TestReport]:
     the closed-form from-origin density agree at t=1 (N=2)."""
     rng_a = np.random.default_rng(SEEDS["equivalence_dyson"])
     rng_b = np.random.default_rng(SEEDS["equivalence_matrix"])
-    dyson = diffusion.dyson_terminal_batch(
-        2, 1.0, EQUIVALENCE_STEPS, EQUIVALENCE_PATHS, rng_a
-    )
-    eig = rmt.eigen_terminal_batch(2, 1.0, EQUIVALENCE_PATHS, rng_b)
+    dyson = diffusion.terminal("dyson", 2, 1.0, EQUIVALENCE_STEPS, EQUIVALENCE_PATHS, rng_a)
+    eig = diffusion.terminal("matrix", 2, 1.0, 1, EQUIVALENCE_PATHS, rng_b)
     reports = []
     for coord in (0, 1):
         cdf = diffusion.marginal_cdf_from_origin(2, 1.0, coord)

@@ -346,7 +346,7 @@ def _write_fixed_paths(states, out, monkeypatch, chunk_values=None):
         offset += size
         return block
 
-    monkeypatch.setattr(cli, "_matrix_chunk", fake_chunk)
+    monkeypatch.setattr(cli, "_chunk", fake_chunk)
     code = cli.run(
         ["simulate-matrix", "--n", str(n), "--t", "1", "--steps", str(steps),
          "--paths", str(paths), "--seed", "3", "--out", str(out)]
@@ -394,7 +394,6 @@ def test_simulate_csv_round_trip_is_exact(shape, data, tmp_path_factory):
     for p, path in enumerate(read):
         assert np.array_equal(path.states, states[p])
         assert np.array_equal(path.times, [(k + 1) * dt for k in range(steps)])
-        assert path.step_size == (2 * dt - dt if steps > 1 else 0.0)
 
 
 def _paths_csv_lines(tmp_path, capsys):
@@ -432,6 +431,21 @@ def test_verify_sde_rejects_missing_row(tmp_path, capsys):
     assert str(out) in err and "3*4*2 = 24 rows" in err and "found 23" in err
 
 
+def test_verify_sde_on_a_one_step_csv_is_an_error(tmp_path, capsys):
+    paths = tmp_path / "one.csv"
+    code, _, err = run_cli(
+        ["simulate-matrix", "--n", "2", "--t", "1", "--steps", "1", "--paths", "3",
+         "--out", str(paths)],
+        capsys,
+    )
+    assert code == 0, err
+    out = tmp_path / "report.json"
+    code, _, err = run_cli(["verify-sde", "--in", str(paths), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "at least two grid times" in err
+    assert not out.exists()
+
+
 def test_schur_prints_long_rationals(capsys):
     # s_(15000)(1/2) = 1/2^15000, a denominator of 4516 digits
     code, out, err = run_cli(
@@ -467,7 +481,7 @@ def test_failed_simulate_leaves_no_out_file(tmp_path, monkeypatch, capsys):
     def failing_chunk(args, size, rng):
         raise RuntimeError("chunk failed")
 
-    monkeypatch.setattr(cli, "_inhomogeneous_chunk", failing_chunk)
+    monkeypatch.setattr(cli, "_chunk", failing_chunk)
     out = tmp_path / "paths.csv"
     code, _, err = run_cli(
         ["simulate-inhomogeneous", "--n", "2", "--horizon", "1", "--t", "1", "--steps", "4",

@@ -6,31 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from noncollide.diffusion import SamplePath
+from noncollide.diffusion import SamplePath, trajectories
 from noncollide.rmt import (
     DriftQVReport,
-    EigenFrame,
-    HermitianState,
     drift_qv_report,
-    eigen_frame,
-    eigen_path,
     eigen_terminal_batch,
     eigen_trajectories,
     estimate_drift_qv,
     estimate_gamma,
     gamma_from_increments,
     hermitian_increment_batch,
-    sample_hermitian_bm,
 )
-
-
-def test_hermitian_state_validation():
-    m = np.array([[1.0, 1j], [-1j, 2.0]])
-    HermitianState(m, 1.0)
-    with pytest.raises(ValueError):
-        HermitianState(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-    with pytest.raises(ValueError):
-        HermitianState(np.zeros((2, 3)), 1.0)
 
 
 def test_sample_hermitian_bm_moments():
@@ -44,11 +30,6 @@ def test_sample_hermitian_bm_moments():
             # E|entry|^2 = t for every entry; 3-sigma band for the mean
             sd = np.std(np.abs(batch[:, i, j]) ** 2) / math.sqrt(batch.shape[0])
             assert abs(second - t) < 3.5 * sd
-    state = sample_hermitian_bm(n, t, rng)
-    assert state.dimension == n
-    assert np.allclose(state.matrix, state.matrix.conj().T)
-    with pytest.raises(ValueError):
-        sample_hermitian_bm(2, 0.0, rng)
 
 
 def test_trace_is_brownian():
@@ -58,27 +39,6 @@ def test_trace_is_brownian():
     traces = np.trace(batch, axis1=1, axis2=2).real
     result = stats.kstest(traces / math.sqrt(n * t), "norm")
     assert result.pvalue > 0.01
-
-
-def test_eigen_frame():
-    rng = np.random.default_rng(52)
-    m = sample_hermitian_bm(4, 1.0, rng).matrix
-    frame = eigen_frame(m)
-    assert np.all(np.diff(frame.eigenvalues) >= 0)
-    rebuilt = frame.unitary @ np.diag(frame.eigenvalues) @ frame.unitary.conj().T
-    assert np.max(np.abs(rebuilt - m)) < 1e-10
-    for k in range(4):
-        col = frame.unitary[:, k]
-        pivot = np.argmax(np.abs(col))
-        assert col[pivot].imag == pytest.approx(0.0, abs=1e-12)
-        assert col[pivot].real > 0
-
-
-def test_eigen_frame_validation():
-    with pytest.raises(ValueError):
-        EigenFrame(np.array([1.0, 0.0]), np.eye(2))
-    with pytest.raises(ValueError):
-        EigenFrame(np.array([0.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_eigvalsh_closed_form_matches_lapack():
@@ -92,11 +52,9 @@ def test_eigvalsh_closed_form_matches_lapack():
 
 
 def test_eigen_path_basics():
-    path = eigen_path(2, 1.0, 64, np.random.default_rng(54))
-    assert isinstance(path, SamplePath)
-    assert path.states.shape == (64, 2)
-    assert path.times[0] == pytest.approx(1.0 / 64)
-    assert np.all(np.diff(path.states, axis=1) > 0)
+    path = trajectories("matrix", 2, 1.0, 64, 1, np.random.default_rng(54))[0]
+    assert path.shape == (64, 2)
+    assert np.all(np.diff(path, axis=1) > 0)
 
 
 def test_eigen_path_single_dim_is_brownian():
@@ -127,9 +85,15 @@ def test_eigen_vs_dyson_marginal_quick():
         assert report.passed, report.detail
 
 
+def _matrix_path(n, t_end, n_steps, rng):
+    # one eigenvalue path from the origin, on its grid dt, 2 dt, ..., t_end
+    states = trajectories("matrix", n, t_end, n_steps, 1, rng)[0]
+    return SamplePath(np.arange(1, n_steps + 1) * (t_end / n_steps), states)
+
+
 def test_estimate_drift_qv_on_sample_paths():
     rng = np.random.default_rng(59)
-    paths = [eigen_path(2, 0.2, 400, rng) for _ in range(60)]
+    paths = [_matrix_path(2, 0.2, 400, rng) for _ in range(60)]
     report = estimate_drift_qv(paths)
     assert isinstance(report, DriftQVReport)
     assert 0.9 < report.qv_per_time < 1.1
@@ -140,8 +104,8 @@ def test_estimate_drift_qv_on_sample_paths():
 
 def test_estimate_drift_qv_validation():
     rng = np.random.default_rng(60)
-    a = eigen_path(2, 0.2, 10, rng)
-    b = eigen_path(2, 0.4, 10, rng)
+    a = _matrix_path(2, 0.2, 10, rng)
+    b = _matrix_path(2, 0.4, 10, rng)
     with pytest.raises(ValueError):
         estimate_drift_qv([a, b])
     with pytest.raises(ValueError):
@@ -252,3 +216,25 @@ def test_drift_qv_report_does_not_depend_on_the_block(steps_per_block, monkeypat
         monkeypatch.setattr(rmt, "MATRIX_BLOCK", steps_per_block * 20 * 3 * 3)
     report = drift_qv_report(3, 20, 13, 1e-3, np.random.default_rng(91)).to_dict()
     assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == DRIFT_QV_PINNED
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n", 0),
+        ("n_paths", 0),
+        ("n_steps", -1),
+        ("dt", 0.0),
+        ("dt", -1e-3),
+        ("dt", math.nan),
+        ("dt", math.inf),
+        ("t_start", -1.0),
+        ("t_start", 0.0),
+        ("t_start", math.nan),
+    ],
+)
+def test_drift_qv_report_refuses_bad_arguments(name, value):
+    kwargs = dict(n=2, n_paths=20, n_steps=5, dt=1e-3, t_start=0.25)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        drift_qv_report(rng=np.random.default_rng(0), **kwargs)
