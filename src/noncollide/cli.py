@@ -227,11 +227,10 @@ def _cmd_sample_walk(args, cfg: RunConfig) -> int:
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     rng = np.random.default_rng(cfg.seed)
-    counts = walks.SurvivalCounts()
 
     def blocks():
         for sample_id in range(args.n):
-            record = walks.sample_conditioned(start, args.steps, rng, counts)
+            record = walks.sample_conditioned(start, args.steps, rng)
             yield "".join(
                 f"{sample_id},{t},{walker_id},{position}\n"
                 for t, positions in enumerate(record.positions())
@@ -347,6 +346,8 @@ def _cmd_density(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify_sde(args, cfg: RunConfig) -> int:
+    if args.gamma_steps < 1:  # before the CSV is read
+        raise ValueError(f"--gamma-steps must be positive, got {args.gamma_steps}")
     paths = _read_paths_csv(args.infile)
     report = rmt.estimate_drift_qv(paths)
     gamma = rmt.estimate_gamma(

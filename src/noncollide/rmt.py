@@ -258,9 +258,9 @@ class _DriftQVAccumulator:
 def estimate_drift_qv(paths: Iterable[SamplePath]) -> DriftQVReport:
     """Drift regression and realized QV over a collection of grid paths.
 
-    Paths must share their time grid. Segments whose starting minimal gap
-    is below GAP_FACTOR * sqrt(dt) are excluded: the local-error scale of
-    the repulsion drift explodes there.
+    Paths must share one uniform time grid. Segments whose starting minimal
+    gap is below GAP_FACTOR * sqrt(dt) are excluded: the local-error scale
+    of the repulsion drift explodes there.
     """
     acc: _DriftQVAccumulator | None = None
     grid: np.ndarray | None = None
@@ -271,6 +271,8 @@ def estimate_drift_qv(paths: Iterable[SamplePath]) -> DriftQVReport:
                     f"paths need at least two grid times, got {path.times.size}"
                 )
             dt = float(path.times[1] - path.times[0])
+            if not np.allclose(np.diff(path.times), dt, rtol=1e-6, atol=0.0):
+                raise ValueError(f"paths need a uniform time grid, got times {path.times}")
             acc = _DriftQVAccumulator(dt, GAP_FACTOR * math.sqrt(dt))
             grid = path.times
         elif path.times is not grid and (

@@ -4,14 +4,17 @@ The walk count M_N(T, y | x) between strictly increasing even starting
 positions x and endpoints y is the binomial determinant
 det[ C(T, (T + x_i - y_j)/2) ]; entries with odd argument or an argument
 outside [0, T] are zero. Survivor counts with free endpoints are
-Stembridge's Pfaffian (SurvivalCounts); they drive an exact sampler of the
-law conditioned on no collision through time T (one-step Doob transform),
-with the per-endpoint sum and rejection sampling kept as oracles.
-scaling_check takes the determinant in floating point from log ratios.
+Stembridge's Pfaffian (SurvivalCounts), multilinear in one binomial row per
+walker. Rows with mixed step counts sum out the next moves of the walkers
+not yet moved, so an exact sampler of the law conditioned on no collision
+through time T draws each step walker by walker, N Pfaffians per step. The
+per-endpoint sum and rejection sampling are kept as oracles. scaling_check
+takes the determinant in floating point from log ratios.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,7 +96,7 @@ def iter_nonintersecting(
     n = len(x)
     if (2**n) ** horizon > cap:
         raise EnumerationCapError(f"2^(N*T) = 2^{n * horizon} exceeds cap {cap}")
-    moves = _feasible_moves(n)
+    moves = list(itertools.product((-1, 1), repeat=n))
     steps: list[tuple[int, ...]] = []
 
     def rec(pos: tuple[int, ...]) -> Iterator[WalkRecord]:
@@ -108,13 +111,6 @@ def iter_nonintersecting(
                 steps.pop()
 
     yield from rec(x)
-
-
-def _feasible_moves(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for mask in range(2**n):
-        out.append(tuple(1 if mask & (1 << i) else -1 for i in range(n)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -175,88 +171,80 @@ def count_table(x: Sequence[int], horizon: int) -> CountTable:
 
 
 class SurvivalCounts:
-    """Memoized survivor counts W(a, s): the walks from a that survive s
-    steps, whatever their endpoints.
+    """Survivor counts W(a, s): the walks from a that survive s steps,
+    whatever their endpoints. ``s`` is one step count for all walkers or a
+    tuple with one count s_i per walker.
 
     Stembridge's Pfaffian for nonintersecting paths with free endpoints:
-    with G_i(v) = C(s, (s + a_i - v)/2) the walks from a_i to v,
-    W = Pf Q where Q_ij = sum_{v<w} G_i(v) G_j(w) - G_i(w) G_j(v), taken
-    with prefix sums over one window of endpoints. Odd N borders Q with a
-    row and column of the walk totals 2^s. Since det Q = (Pf Q)^2 and
-    W >= 0, W is the integer square root of a Bareiss determinant. The sum
-    of M_N(s, y | a) over endpoints (count_table) is the oracle.
+    with G_i(v) = C(s_i, (s_i + a_i - v)/2) the walks of s_i steps from a_i
+    to v, W = Pf Q where Q_ij = sum_{v<w} G_i(v) G_j(w) - G_i(w) G_j(v),
+    taken with prefix sums over one window of endpoints of common parity.
+    Odd N borders Q with each row's own total 2^(s_i). Since det Q = (Pf Q)^2
+    and W >= 0, W is the integer square root of a Bareiss determinant. The
+    sum of M_N(s, y | a) over endpoints (count_table) is the oracle.
 
-    Grows while sampling, then read-mostly; one instance may be shared by
-    samplers drawing from the same conditioned family.
+    W is multilinear in the rows G_i and zero when two are equal, and the
+    row of (a_i, s_i) is the sum of the rows of (a_i - 1, s_i - 1) and
+    (a_i + 1, s_i - 1). So with mixed step counts W sums the survivors over
+    the next moves of the walkers still at the larger count. Nothing is kept
+    between calls.
     """
 
-    def __init__(self) -> None:
-        self._cache: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def __call__(self, a: tuple[int, ...], s: int) -> int:
-        key = (a, s)
-        got = self._cache.get(key)
-        if got is None:
-            # G_i(v) on the window v = min(a) - s, min(a) - s + 2, ..., max(a) + s
-            base = min(a, default=0)
-            g = np.zeros((len(a), (max(a, default=0) - base) // 2 + s + 1), dtype=object)
-            row = [math.comb(s, k) for k in range(s + 1)]
-            for gi, ai in zip(g, a):
-                first = (ai - base) // 2
-                gi[first : first + s + 1] = row
-            d = (np.cumsum(g, axis=1) - g) @ g.T  # sum_{v<w} G_i(v) G_j(w), in ints
-            q = (d - d.T).tolist()
-            if len(a) % 2:
-                q = [qi + [2**s] for qi in q] + [[-(2**s)] * len(a) + [0]]
-            det = det_bareiss(q)
-            got = math.isqrt(det)
-            if got * got != det:
-                raise AssertionError(f"Stembridge determinant at {a!r}, s={s} is not a square")
-            self._cache[key] = got
-        return got
+    def __call__(self, a: tuple[int, ...], s: int | tuple[int, ...]) -> int:
+        steps = (s,) * len(a) if isinstance(s, int) else s
+        parities = {(p + t) % 2 for p, t in zip(a, steps)}
+        if len(steps) != len(a) or min(steps, default=0) < 0 or len(parities) > 1:
+            raise ValueError(f"need s_i >= 0 per walker, all a_i + s_i of one parity: {a!r}, {s!r}")
+        # G_i(v) on the window v = base, base + 2, ..., the union of the walkers' reach
+        base = min((p - t for p, t in zip(a, steps)), default=0)
+        top = max((p + t for p, t in zip(a, steps)), default=0)
+        g = np.zeros((len(a), (top - base) // 2 + 1), dtype=object)
+        for gi, p, t in zip(g, a, steps):
+            first = (p - t - base) // 2
+            gi[first : first + t + 1] = [math.comb(t, k) for k in range(t + 1)]
+        d = (np.cumsum(g, axis=1) - g) @ g.T  # sum_{v<w} G_i(v) G_j(w), in ints
+        q = (d - d.T).tolist()
+        if len(a) % 2:
+            q = [qi + [2**t] for qi, t in zip(q, steps)] + [[-(2**t) for t in steps] + [0]]
+        det = det_bareiss(q)
+        w = math.isqrt(det)
+        if w * w != det:
+            raise AssertionError(f"Stembridge determinant at {a!r}, s={s!r} is not a square")
+        return w
 
 
-def sample_conditioned(
-    x: Sequence[int],
-    horizon: int,
-    rng: np.random.Generator,
-    counts: SurvivalCounts | None = None,
-) -> WalkRecord:
+def sample_conditioned(x: Sequence[int], horizon: int, rng: np.random.Generator) -> WalkRecord:
     """Exact draw from the law conditioned on no collision through time T.
 
-    One-step Doob transform: from state a with s steps left, a move to b is
-    taken with probability W(b, s-1) / W(a, s) where W counts surviving
-    continuations. The integer weights make each categorical draw exact.
+    One-step Doob transform taken walker by walker. From state a with s
+    steps left and W surviving continuations, walker k steps up with weight
+    W_up and down with weight W - W_up. W_up is SurvivalCounts with walkers
+    1..k-1 at their new positions and s - 1 steps, walker k at a_k + 1 and
+    s - 1 steps, and walkers k+1..N at a_i and s steps. The chosen weight is
+    the next walker's W, so the N ratios multiply to W(b, s-1) / W(a, s),
+    the Doob transform of the joint move a -> b. The integer weights make
+    each draw exact.
     """
-    x = check_start(x)
-    n = len(x)
+    x = check_start(x)  # a strictly increasing start survives: all walkers step alike
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    counts = counts if counts is not None else SurvivalCounts()
-    if counts(x, horizon) == 0:
-        raise ValueError("zero survival probability: cannot condition")
-    moves = _feasible_moves(n)
-    pos = x
-    columns: list[tuple[int, ...]] = []
+    counts = SurvivalCounts()
+    total = counts(x, horizon)
+    pos = list(x)
+    left = [horizon] * len(x)
+    steps: list[list[int]] = [[] for _ in x]
     for s in range(horizon, 0, -1):
-        options: list[tuple[int, ...]] = []
-        weights: list[int] = []
-        for mv in moves:
-            nxt = tuple(p + d for p, d in zip(pos, mv))
-            if all(a < b for a, b in zip(nxt, nxt[1:])):
-                w = counts(nxt, s - 1)
-                if w:
-                    options.append(mv)
-                    weights.append(w)
-        total = sum(weights)
-        if total != counts(pos, s):
-            raise AssertionError("survivor counts inconsistent at state %r" % (pos,))
-        pick = sample_categorical_exact(rng, weights)
-        mv = options[pick]
-        columns.append(mv)
-        pos = tuple(p + d for p, d in zip(pos, mv))
-    steps = tuple(zip(*columns)) if columns else ((),) * n
-    return WalkRecord(x, steps)
+        for k, moves in enumerate(steps):
+            left[k] = s - 1
+            pos[k] += 1
+            w_up = counts(tuple(pos), tuple(left))
+            if not 0 <= w_up <= total:
+                raise AssertionError(f"survivor counts inconsistent at walker {k} of {pos!r}")
+            down = sample_categorical_exact(rng, (w_up, total - w_up))
+            total = total - w_up if down else w_up
+            pos[k] -= 2 * down
+            moves.append(1 - 2 * down)
+    return WalkRecord(x, tuple(map(tuple, steps)))
 
 
 def rejection_sample(

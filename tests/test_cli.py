@@ -267,6 +267,24 @@ def test_sample_walk_rejects_bad_input_before_writing(tmp_path, flags, message, 
     assert not out.exists()
 
 
+def test_sample_walk_twelve_walkers(tmp_path, capsys):
+    # N = 12 is out of reach of a sampler exponential in N; checks the output, not the time
+    start = list(range(0, 72, 6))
+    out = tmp_path / "walk.csv"
+    code, _, err = run_cli(
+        ["sample-walk", "--start", ",".join(map(str, start)), "--steps", "20", "--n", "1",
+         "--seed", "3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0, err
+    rows = np.loadtxt(out, delimiter=",", skiprows=2, dtype=int)
+    assert rows.shape == (21 * 12, 4) and set(rows[:, 0]) == {0}
+    pos = rows[:, 3].reshape(21, 12)
+    assert pos[0].tolist() == start
+    assert np.all(np.abs(np.diff(pos, axis=0)) == 1)
+    assert np.all(np.diff(pos, axis=1) > 0)
+
+
 def test_count_beyond_int_str_limit(capsys):
     # 96,320 digits, past CPython's 4300-digit int-to-str limit
     code, out, err = run_cli(
@@ -444,6 +462,32 @@ def test_verify_sde_on_a_one_step_csv_is_an_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and "at least two grid times" in err
     assert not out.exists()
+
+
+def test_verify_sde_refuses_a_nonuniform_grid(tmp_path, capsys):
+    paths, lines = _paths_csv_lines(tmp_path, capsys)
+    # grid 0.25, 0.5, 0.75, 1 becomes 0.1, 0.2, 0.9, 1
+    regrid = {"0.25": "0.1", "0.5": "0.2", "0.75": "0.9", "1.0": "1.0"}
+    body = []
+    for line in lines[2:]:
+        pid, t, rest = line.split(",", 2)
+        body.append(f"{pid},{regrid[t]},{rest}")
+    paths.write_text("".join(lines[:2] + body))
+    out = tmp_path / "report.json"
+    code, _, err = run_cli(
+        ["verify-sde", "--in", str(paths), "--gamma-steps", "10", "--out", str(out)], capsys
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "uniform time grid" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_sde_refuses_nonpositive_gamma_steps_before_reading(tmp_path, value, capsys):
+    missing = tmp_path / "absent.csv"
+    code, _, err = run_cli(["verify-sde", "--in", str(missing), "--gamma-steps", value], capsys)
+    assert code == 1
+    assert err.startswith("error: --gamma-steps must be positive")
 
 
 def test_schur_prints_long_rationals(capsys):

@@ -2,6 +2,7 @@
 per-endpoint determinant sum and the Guttmann-Owczarek-Viennot product."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,3 +34,32 @@ def test_canonical_start_matches_gov_product(n):
     counts = SurvivalCounts()
     for horizon in range(13):
         assert counts(canonical_start(n), horizon) == _gov_product(n, horizon), horizon
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mixed_rows_sum_out_the_next_moves(n):
+    """Walkers 1..k one step on (s - 1 steps left), walkers k+1..N still at
+    a with s steps: the Pfaffian equals the survivors summed over the moves
+    of walkers k+1..N."""
+    counts = SurvivalCounts()
+    rnd = random.Random(n)
+    for s in range(1, 7):
+        for _ in range(3):
+            a = tuple(itertools.accumulate([0] + [rnd.choice((2, 4, 6)) for _ in range(n - 1)]))
+            for k in range(n + 1):
+                for prefix in itertools.product((-1, 1), repeat=k):
+                    brute = 0
+                    for suffix in itertools.product((-1, 1), repeat=n - k):
+                        b = tuple(p + m for p, m in zip(a, prefix + suffix))
+                        if all(u < v for u, v in zip(b, b[1:])):
+                            brute += counts(b, s - 1)
+                    moved = tuple(p + m for p, m in zip(a, prefix)) + a[k:]
+                    steps = (s - 1,) * k + (s,) * (n - k)
+                    assert counts(moved, steps) == brute, (a, prefix, s)
+
+
+def test_mixed_rows_refuse_mismatched_steps():
+    counts = SurvivalCounts()
+    for a, s in (((0, 2), (3,)), ((0, 2), (3, 2)), ((0, 2), (-1, -1))):
+        with pytest.raises(ValueError, match="need s_i >= 0 per walker"):
+            counts(a, s)

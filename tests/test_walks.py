@@ -10,7 +10,6 @@ from noncollide.verify import chi_square_counts
 from noncollide.walks import (
     EnumerationCapError,
     RetryCapError,
-    SurvivalCounts,
     count_canonical,
     count_table,
     count_vicious,
@@ -100,14 +99,30 @@ def test_sample_conditioned_endpoint_law():
     endpoints = sorted(table.counts)
     index = {y: i for i, y in enumerate(endpoints)}
     counts = [0] * len(endpoints)
-    shared = SurvivalCounts()
     n = 10_000
     for _ in range(n):
-        w = sample_conditioned((0, 2), 2, rng, shared)
+        w = sample_conditioned((0, 2), 2, rng)
         counts[index[w.endpoints()]] += 1
     total = table.survival_probability
     probs = [float(table.normalized[y] / total) for y in endpoints]
     report = chi_square_counts(counts, probs, seeds=(1234,))
+    assert report.passed, report.detail
+
+
+def test_sample_conditioned_endpoint_law_four_walkers():
+    # T = 3 keeps every one of the 54 expected counts above 14
+    rng = np.random.default_rng(48)
+    start = (0, 2, 4, 8)
+    table = count_table(start, 3)
+    endpoints = sorted(table.counts)
+    index = {y: i for i, y in enumerate(endpoints)}
+    counts = [0] * len(endpoints)
+    n = 10_000
+    for _ in range(n):
+        counts[index[sample_conditioned(start, 3, rng).endpoints()]] += 1
+    total = table.survival_probability
+    probs = [float(table.normalized[y] / total) for y in endpoints]
+    report = chi_square_counts(counts, probs, seeds=(48,))
     assert report.passed, report.detail
 
 
@@ -119,10 +134,9 @@ def test_sampler_agreement_with_rejection():
     index = {y: i for i, y in enumerate(endpoints)}
     a = [0] * len(endpoints)
     b = [0] * len(endpoints)
-    shared = SurvivalCounts()
     n = 10_000
     for _ in range(n):
-        a[index[sample_conditioned((0, 2), horizon, rng, shared).endpoints()]] += 1
+        a[index[sample_conditioned((0, 2), horizon, rng).endpoints()]] += 1
         b[index[rejection_sample((0, 2), horizon, rng).endpoints()]] += 1
     from scipy.stats import chi2_contingency
 
