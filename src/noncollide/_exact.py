@@ -63,7 +63,9 @@ def rand_below(rng: np.random.Generator, n: int) -> int:
 
     Draws blocks of random bits and rejects out-of-range values, so the
     result is exactly uniform (needed when categorical weights are exact
-    rationals with huge denominators).
+    rationals with huge denominators). Each 32-bit word is one scalar draw:
+    the same stream as one batched draw of all words, without building an
+    array for the usual one-word case.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -73,8 +75,8 @@ def rand_below(rng: np.random.Generator, n: int) -> int:
     words = (bits + 31) // 32
     while True:
         x = 0
-        for w in rng.integers(0, 1 << 32, size=words, dtype=np.uint64):
-            x = (x << 32) | int(w)
+        for _ in range(words):
+            x = (x << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
         x >>= words * 32 - bits
         if x < n:
             return x

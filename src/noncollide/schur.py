@@ -3,7 +3,8 @@
 Three independent evaluation routes are provided:
 
 * ``schur_ssyt_sum``     -- the defining sum of monomials over semistandard
-  tableaux of the shape;
+  tableaux of the shape, taken letter by letter over chains of interlacing
+  shapes (the tableaux that encode nonintersecting lattice paths);
 * ``schur_bialternant``  -- ratio of the alternant det[z_i^(lam_j + T - j)]
   to the Vandermonde product prod_{i<j} (z_i - z_j);
 * ``schur_dual_jt``      -- dual Jacobi-Trudi determinant in the elementary
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence, Union
 
 from ._exact import det_bareiss
-from .combinat import Partition, conjugate, enumerate_ssyt, monomial_exponents
+from .combinat import Partition, conjugate
 
 RationalLike = Union[int, Fraction, str]
 
@@ -77,19 +79,45 @@ def elementary_symmetric(j: int, z: EvalPoint | Sequence[RationalLike]) -> Fract
 def schur_ssyt_sum(
     shape: Partition, z: EvalPoint | Sequence[RationalLike]
 ) -> Fraction:
-    """Defining sum: one monomial per semistandard tableau of the shape."""
+    """Defining sum: one monomial prod_k z_k^(#k's) per semistandard tableau.
+
+    A tableau on letters 1..T is a chain () = mu^(0) in ... in mu^(T) = lam,
+    mu^(k) holding the cells with letters <= k, whose steps are horizontal
+    strips, mu^(k-1)_i <= mu^(k)_i <= mu^(k-1)_(i-1): the nonintersecting
+    paths of the path-tableau bijection. So the sum runs letter by letter
+    over a dict from mu^(k) to the weight of all tableaux of that shape on
+    letters 1..k, a strip of m cells weighing z_k^m. The T - k later letters
+    fill at most T - k cells of a column, which prunes to
+    mu^(k)_i >= lam_(i+T-k). With z_k = p_k / q_k every weight is an integer
+    over prod_k q_k^|lam|, the strip factor being p_k^m q_k^(|lam| - m).
+    """
     values = _point(z)
     n_vars = len(values)
     if len(shape) > n_vars:
         return Fraction(0)
-    total = Fraction(0)
-    for tab in enumerate_ssyt(shape, n_vars):
-        term = Fraction(1)
-        for k, mult in enumerate(monomial_exponents(tab, n_vars)):
-            if mult:
-                term *= values[k] ** mult
-        total += term
-    return total
+    lam = shape.parts
+    rows = len(lam)
+    size = shape.size
+    lam_then_zeros = lam + (0,) * n_vars
+    layer = {(0,) * rows: 1}
+    denominator = 1
+    for k, v in enumerate(values, start=1):
+        p, q = v.numerator, v.denominator
+        strip_factor = [p**m * q ** (size - m) for m in range(size + 1)]
+        denominator *= q**size
+        floor = lam_then_zeros[n_vars - k : n_vars - k + rows]
+        grown: dict[tuple[int, ...], int] = {}
+        for nu, weight in layer.items():
+            base = sum(nu)
+            ceilings = lam[:1] + nu
+            choices = [
+                range(max(nu[i], floor[i]), min(lam[i], ceilings[i]) + 1)
+                for i in range(rows)
+            ]
+            for mu in product(*choices):
+                grown[mu] = grown.get(mu, 0) + weight * strip_factor[sum(mu) - base]
+        layer = grown
+    return Fraction(layer[lam], denominator)
 
 
 def schur_bialternant(

@@ -285,6 +285,22 @@ def test_sample_walk_twelve_walkers(tmp_path, capsys):
     assert np.all(np.diff(pos, axis=1) > 0)
 
 
+# sha256 of the walks written when rand_below still drew all its 32-bit
+# words in one batched call per draw
+SAMPLE_WALK_PINNED = "68ee0691aafe0318671c15ea845a3f18832f9b5ff1d7e3fde2749e4f8b4c49a5"
+
+
+def test_sample_walk_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "walks.csv"
+    code, _, err = run_cli(
+        ["sample-walk", "--start", "0,2,4,8", "--steps", "12", "--n", "50", "--seed", "42",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_WALK_PINNED
+
+
 def test_count_beyond_int_str_limit(capsys):
     # 96,320 digits, past CPython's 4300-digit int-to-str limit
     code, out, err = run_cli(
@@ -545,6 +561,16 @@ def test_schur_default_method_long_shape_in_bounded_time(capsys):
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run_cli(argv + ["--method", "bialternant"], capsys)
     assert code == 0 and proc.stdout == out
+
+
+def test_schur_ssyt_long_alphabet_matches_dualjt(capsys):
+    # 436,590 tableaux: summed letter by letter, never listed one by one
+    argv = ["schur", "--shape", "5,5,3,1", "--points", "1,2,3,4,5,6,7", "--method"]
+    code, ssyt, err = run_cli(argv + ["ssyt"], capsys)
+    assert code == 0, err
+    code, dualjt, err = run_cli(argv + ["dualjt"], capsys)
+    assert code == 0, err
+    assert ssyt == dualjt
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noncollide.combinat import Partition, enumerate_ssyt
+from noncollide.combinat import Partition, enumerate_ssyt, monomial_exponents
 from noncollide.schur import (
     EvalPoint,
     elementary_symmetric,
@@ -51,6 +52,37 @@ def test_schur_ssyt_sum_examples():
     assert schur_ssyt_sum(Partition((2, 1)), EvalPoint((1, 1, 1))) == 8
     assert schur_ssyt_sum(Partition((2, 1)), EvalPoint((1, 2, 3))) == 60
     assert schur_ssyt_sum(Partition((1, 1, 1)), EvalPoint((1, 2))) == 0
+
+
+def tableau_by_tableau(shape, z):
+    """The defining sum, one monomial per enumerated tableau."""
+    values = [Fraction(v) for v in z]
+    total = Fraction(0)
+    for tab in enumerate_ssyt(shape, len(values)):
+        term = Fraction(1)
+        for v, mult in zip(values, monomial_exponents(tab, len(values))):
+            term *= v**mult
+        total += term
+    return total
+
+
+POINT_POOL = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+
+
+@pytest.mark.parametrize("n_vars", range(7))
+def test_schur_ssyt_sum_matches_tableau_by_tableau(n_vars):
+    rnd = random.Random(500 + n_vars)
+    shapes = [s for s in shapes_up_to(8) if len(s) <= 6]
+    # the empty shape and one shape longer than the alphabet, then random ones
+    picks = [Partition(()), Partition((1,) * (n_vars + 1))]
+    picks += [rnd.choice(shapes) for _ in range(40)]
+    for i, shape in enumerate(picks):
+        z = [rnd.choice(POINT_POOL) for _ in range(n_vars)]
+        if i % 3 == 0 and n_vars >= 2:
+            z[-1] = z[0]
+        got = schur_ssyt_sum(shape, z)
+        assert isinstance(got, Fraction)
+        assert got == tableau_by_tableau(shape, z), (shape.parts, z)
 
 
 def test_schur_bialternant_examples():
