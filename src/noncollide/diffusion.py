@@ -37,15 +37,19 @@ One engine, ``grid_states``, steps all three processes (the h-transform,
 the finite-horizon process and the eigenvalues of Hermitian matrix
 Brownian motion) on the grid of step dt = t_end / n_steps. From the origin
 the grid is dt, 2 dt, ..., t_end, and the first state is drawn exactly
-(all particles coincide at t = 0); from a chamber point x0 it is
-0, dt, ..., t_end, starting with x0. ``trajectories`` stacks the states
-and ``terminal`` keeps the last one; one path is ``trajectories(..., 1,
-rng)[0]``, and a ``SamplePath`` pairs such a path with its grid times.
+(all particles coincide at t = 0); from x0, one chamber point or one per
+path, it is 0, dt, ..., t_end, starting with x0. ``trajectories`` stacks
+the states, ``terminal`` keeps the last one, and a ``SamplePath`` pairs a
+path with its grid times.
 
-From the origin the finite-horizon process is the eigenvalue process of the
-two-matrix model S(t) + iA(t) (Katori and Tanemura, Phys. Rev. E 66 (2002)
-011105; J. Math. Phys. 45 (2004) 3058): S is real-symmetric Brownian motion
-and each upper entry of the antisymmetric A is a Brownian bridge to 0 at T.
+The matrix process from x0 starts at diag(x0): the eigenvalues of
+diag(x0) + H(t) are the h-transform from x0 (Dyson, J. Math. Phys. 3
+(1962) 1191). From the origin the finite-horizon process is the
+eigenvalue process of the two-matrix model S(t) + iA(t) (Katori and
+Tanemura, Phys. Rev. E 66 (2002) 011105; J. Math. Phys. 45 (2004) 3058):
+S is real-symmetric Brownian motion and each upper entry of the
+antisymmetric A is a Brownian bridge to 0 at T. Added to diag(x0), that
+model is not the finite-horizon process from x0: it runs from zero only.
 """
 
 from __future__ import annotations
@@ -179,13 +183,8 @@ def km_density(t: float, x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
 
 def survival(t: float, x: ArrayLike) -> float:
     """No-collision probability N_N(t, x) of the chamber Brownian motion, by
-    de Bruijn's erf Pfaffian, exact for any N; 1.0 at t = 0.
-
-    Raises ValueError when cond_1(A) * eps exceeds COND_LIMIT = 1e-6 (see
-    the module docstring). The test oracles are ``survival_quadrature``,
-    ``survival_asymptotic`` and ``survival_mc``; at N = 2 the answer is
-    erf((x_2 - x_1) / 2 sqrt(t)).
-    """
+    de Bruijn's erf Pfaffian (module docstring: COND_LIMIT, test oracles),
+    exact for any N; erf((x_2 - x_1) / 2 sqrt(t)) at N = 2, 1.0 at t = 0."""
     _finite(t=t)
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -481,8 +480,6 @@ def _advance_batch(
 
 def _ordered(states: np.ndarray) -> np.ndarray:
     """Whether each row of states (paths, N) is strictly increasing."""
-    if states.shape[1] == 1:
-        return np.ones(len(states), dtype=bool)
     return np.all(np.diff(states, axis=1) > 0, axis=1)
 
 
@@ -507,15 +504,6 @@ def _inhomogeneous_drift_batch(
     return drift
 
 
-def _gue_start(
-    n: int, t0: float, size: int, rng: np.random.Generator, horizon: float | None = None
-) -> np.ndarray:
-    """Exact from-origin draws at t0 of either SDE: GUE eigenvalues, the h^2
-    law exp(-|y|^2/2 t0) h_N(y)^2 (Dyson 1962), or with a horizon T the
-    two-matrix eigenvalues, the finite-horizon law (module docstring)."""
-    return terminal("matrix", n, t0, 1, size, rng, horizon=horizon)
-
-
 def sample_from_origin(
     n: int,
     t0: float,
@@ -524,7 +512,7 @@ def sample_from_origin(
     h_power: int = 2,
 ) -> np.ndarray:
     """Rejection draws from exp(-|y|^2/2 t0) * h_N(y)^h_power, a test oracle
-    for ``_gue_start``; no production route calls it.
+    for the from-origin start of ``grid_states``; no production route calls it.
 
     Proposals are sorted iid N(0, 2 t0) vectors; inflating the proposal
     variance makes the acceptance ratio bounded:
@@ -584,16 +572,17 @@ def grid_states(
 ) -> Iterator[np.ndarray]:
     """Yield the (n_paths, n) state at each time of the grid (module
     docstring), dt = t_end / n_steps; a path is one row followed over the
-    grid, n_steps states from the origin and n_steps + 1 from x0. The array
-    yielded is the live state, which the next step overwrites in place; a
-    matrix state is a view into its block of steps (``rmt.eigen_steps``)
-    and keeps the whole block alive. Copy what you keep.
+    grid, n_steps states from the origin and n_steps + 1 from x0, which is
+    one chamber point (n,) or one per path (n_paths, n). The array yielded
+    is the live state, which the next step overwrites in place; a matrix
+    state is a view into its block of steps (``rmt.eigen_steps``) and keeps
+    the whole block alive. Copy what you keep.
 
     ``process`` is "dyson" (the h-transform), "finite-horizon" (conditioned
     to avoid collision up to ``horizon``) or "matrix" (eigenvalues of
-    Hermitian matrix Brownian motion from zero; with a ``horizon``, of the
-    two-matrix model). From the origin both SDEs start with the exact draw
-    ``_gue_start`` at dt. Bad arguments raise at the first state.
+    Hermitian matrix Brownian motion from diag(x0) or zero; with a
+    ``horizon``, of the two-matrix model, from zero only). Bad arguments
+    raise at the first state.
     """
     if process not in _PROCESSES:
         raise ValueError(f"unknown process {process!r}; known: {list(_PROCESSES)}")
@@ -605,12 +594,16 @@ def grid_states(
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     dt = t_end / n_steps
+    states = None if _is_origin(x0) else _chamber_start(x0, n, n_paths)
     if process == "matrix":
-        if not _is_origin(x0):
-            raise ValueError("the matrix process starts from zero")
+        if states is not None and horizon is not None:
+            raise ValueError("the matrix process with a horizon starts from zero")
         from . import rmt  # rmt imports this module
 
         xi = np.zeros((n_paths, n, n), dtype=complex)
+        if states is not None:
+            xi[:, np.arange(n), np.arange(n)] = states
+            yield states
         yield from rmt.eigen_steps(xi, dt, n_steps, rng, horizon)
         return
     if process == "dyson":
@@ -619,17 +612,28 @@ def grid_states(
         raise ValueError("the finite-horizon process needs a horizon")
     else:
         drift = _inhomogeneous_drift_batch(horizon)
-    if not _is_origin(x0):
-        x0 = _as_point(x0)
-        if x0.size != n:
-            raise ValueError(f"x0 has {x0.size} coordinates, expected n = {n}")
-        states, first_step = np.tile(x0, (n_paths, 1)), 0
-    else:
-        states, first_step = _gue_start(n, dt, n_paths, rng, horizon), 1
+    first_step = 0
+    if states is None:
+        # exact at dt: the h^2 law of GUE eigenvalues, or the two-matrix law
+        states, first_step = terminal("matrix", n, dt, 1, n_paths, rng, horizon=horizon), 1
     yield states
     for k in range(first_step, n_steps):
         _advance_batch(states, k * dt, dt, drift, rng)
         yield states
+
+
+def _chamber_start(x0: ArrayLike, n: int, n_paths: int) -> np.ndarray:
+    """x0, one chamber point (n,) or one per path (n_paths, n), as new rows."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape not in ((n,), (n_paths, n)):
+        raise ValueError(
+            f"x0 has shape {x0.shape}, expected n = {n} in 1 or n_paths = {n_paths} rows"
+        )
+    rows = np.array(np.broadcast_to(x0, (n_paths, n)))
+    bad = ~(np.isfinite(rows).all(axis=1) & _ordered(rows))
+    if bad.any():
+        _as_point(rows[bad.argmax()])  # raises, naming the first bad row
+    return rows
 
 
 def trajectories(

@@ -9,29 +9,27 @@ slope 1, unit quadratic variation, unit carre-du-champ matrix) is verified
 statistically rather than used as the generator, which keeps the matrix
 route an independent oracle for the interacting-particle integrator.
 
-``eigen_steps`` is the one matrix stepper: it draws the increments of a
-block of grid steps at once, accumulates them, and diagonalises the whole
-block in one batched call. ``diffusion.grid_states`` and
-``drift_qv_report`` both step through it; eigenvalue paths come from
-``diffusion.trajectories("matrix", ...)``. The estimators below read paths
-(``estimate_drift_qv`` takes ``SamplePath`` records) or draw their own
-batches (``drift_qv_report``, ``estimate_gamma``). No eigenbasis is given
-a phase convention: the carre-du-champ products (U* dXi U)_ij
-(U* dXi U)_ji do not depend on the phases of the eigenvectors.
+``eigen_steps``, the one matrix stepper, runs under ``diffusion.grid_states``:
+it draws the increments of a block of grid steps at once, accumulates them,
+and diagonalises the whole block in one batched call. The estimators read
+paths (``estimate_drift_qv``), the engine's states (``drift_qv_report``,
+with no batches of its own) or their own matrices (``estimate_gamma``). No
+eigenbasis is given a phase convention: the carre-du-champ products
+(U* dXi U)_ij (U* dXi U)_ji do not depend on the phases of the eigenvectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .diffusion import SamplePath, dyson_drift, terminal, trajectories
+from .diffusion import SamplePath, dyson_drift, grid_states, terminal, trajectories
 
 GAP_FACTOR = 10.0  # the drift regression drops segments from gaps below this * sqrt(dt)
-DRIFT_QV_CHUNK = 4096  # paths per chunk of drift_qv_report
 GAMMA_DT = 1e-3  # step of estimate_gamma's increments
 GAMMA_T_START = 1.0  # time of estimate_gamma's starting matrix
 MATRIX_BLOCK = 1 << 14  # complex matrix entries per block of eigen_steps (at least one step)
@@ -78,12 +76,16 @@ def eigen_steps(
 
     With a ``horizon`` T, xi being the state at time 0, the antisymmetric
     part is a Brownian bridge to 0 at T: the two-matrix model of the
-    ``diffusion`` module docstring. The increments of a block of steps, at
-    most MATRIX_BLOCK complex entries, are drawn at once and the block is
-    diagonalised in one call; the random stream is that of one draw per
-    step. Each block is a new array, and a yielded array is a view that
-    keeps its whole block alive: copy what you keep.
+    ``diffusion`` module docstring; n_steps * dt past T, beyond rounding,
+    raises. The increments of a block of steps, at most MATRIX_BLOCK
+    complex entries, are drawn at once and the block is diagonalised in one
+    call; the random stream is that of one draw per step. Each block is a
+    new array, and a yielded array is a view that keeps its whole block
+    alive: copy what you keep.
     """
+    end = n_steps * dt
+    if horizon is not None and end > horizon and not math.isclose(end, horizon):
+        raise ValueError(f"the steps end at {end!r}, past the horizon {horizon!r}")
     size, n = xi.shape[0], xi.shape[-1]
     per_block = max(1, MATRIX_BLOCK // (size * n * n))
     for first in range(0, n_steps, per_block):
@@ -193,10 +195,7 @@ class _DriftQVAccumulator:
 
     def add(self, lam_prev: np.ndarray, lam_next: np.ndarray) -> None:
         """lam_prev, lam_next: (paths, N) consecutive grid states."""
-        if lam_prev.shape[1] > 1:
-            keep = np.min(np.diff(lam_prev, axis=1), axis=1) > self.gap_floor
-        else:
-            keep = np.ones(lam_prev.shape[0], dtype=bool)
+        keep = np.diff(lam_prev, axis=1).min(axis=1, initial=np.inf) > self.gap_floor
         if not np.any(keep):
             return
         prev = lam_prev[keep]
@@ -296,9 +295,11 @@ def drift_qv_report(
 ) -> DriftQVReport:
     """Batched driver for the SDE-structure check.
 
-    Spreads the spectrum by starting the matrix process at t_start, then
-    evolves n_steps increments of size dt, streaming the regression sums
-    DRIFT_QV_CHUNK paths at a time so memory stays flat.
+    Spreads the spectrum with a draw lambda of the matrix process at
+    t_start, then feeds the regression sums each pair of consecutive states
+    of ``diffusion.grid_states`` from diag(lambda), which by unitary
+    invariance is the process from the drawn matrix. It has no batches of
+    its own: memory is O(n_paths * N^2) per step.
     """
     for name, count in (("n", n), ("n_paths", n_paths), ("n_steps", n_steps)):
         if count < 1:
@@ -307,15 +308,10 @@ def drift_qv_report(
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     acc = _DriftQVAccumulator(dt, GAP_FACTOR * math.sqrt(dt))
-    done = 0
-    while done < n_paths:
-        size = min(DRIFT_QV_CHUNK, n_paths - done)
-        xi = hermitian_increment_batch(n, t_start, rng, size)
-        lam_prev = _eigvalsh_batch(xi)
-        for lam in eigen_steps(xi, dt, n_steps, rng):
-            acc.add(lam_prev, lam)
-            lam_prev = lam
-        done += size
+    start = terminal("matrix", n, t_start, 1, n_paths, rng)
+    states = grid_states("matrix", n, n_steps * dt, n_steps, n_paths, rng, x0=start)
+    for lam_prev, lam in pairwise(states):
+        acc.add(lam_prev, lam)
     return acc.report()
 
 

@@ -287,16 +287,14 @@ def test_gue_start_matches_rejection_oracle():
     # rejection sampling targets; compare every coordinate at N = 3
     from scipy.stats import ks_2samp
 
-    from noncollide.diffusion import _gue_start
-
     t0 = 0.1
-    gue = _gue_start(3, t0, 3000, np.random.default_rng(61))
+    gue = terminal("matrix", 3, t0, 1, 3000, np.random.default_rng(61))
     oracle = sample_from_origin(3, t0, 3000, np.random.default_rng(62), h_power=2)
     assert np.all(np.diff(gue, axis=1) > 0)
     for coord in range(3):
         assert ks_2samp(gue[:, coord], oracle[:, coord]).pvalue > 1e-3
     with pytest.raises(ValueError):
-        _gue_start(0, t0, 5, np.random.default_rng(0))
+        terminal("matrix", 0, t0, 1, 5, np.random.default_rng(0))
 
 
 # one trajectory engine: (process, x0, horizon) cases on a fixed seed
@@ -306,6 +304,7 @@ ENGINE_CASES = [
     ("finite-horizon", None, 1.5),
     ("finite-horizon", [-0.5, 0.2, 1.0], 1.5),
     ("matrix", None, None),
+    ("matrix", [-0.5, 0.2, 1.0], None),
 ]
 
 
@@ -341,11 +340,64 @@ def test_engine_rejects_bad_arguments():
     with pytest.raises(ValueError, match="horizon"):
         trajectories("finite-horizon", 2, 1.0, 4, 3, rng)
     with pytest.raises(ValueError, match="starts from zero"):
-        terminal("matrix", 2, 1.0, 4, 3, rng, x0=[0.0, 1.0])
+        terminal("matrix", 2, 1.0, 4, 3, rng, x0=[0.0, 1.0], horizon=1.0)
     with pytest.raises(ValueError, match="expected n = 3"):
         terminal("dyson", 3, 1.0, 4, 3, rng, x0=[0.0, 1.0])
+    # one start per path: every row is checked, and there must be n_paths rows
+    rows = [[0.0, 1.0], [1.0, 0.5], [0.0, 2.0]]
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        terminal("matrix", 2, 1.0, 4, 3, rng, x0=rows)
+    with pytest.raises(ValueError, match="n_paths = 3 rows"):
+        terminal("dyson", 2, 1.0, 4, 3, rng, x0=rows[:1] * 4)
     with pytest.raises(ValueError, match="t_end <= T"):
         terminal("finite-horizon", 2, 2.0, 4, 3, rng, horizon=1.0)
+
+
+def test_matrix_process_from_chamber_points_has_the_second_moment():
+    # E sum lambda_i^2 = E tr (diag(x0) + H(t))^2 = |x0|^2 + N^2 t exactly;
+    # N = 3, one start per path, 20,000 paths on 4 steps to t = 1, within 4
+    # standard errors at every grid time
+    n, n_paths = 3, 20_000
+    x0 = np.sort(np.random.default_rng(88).normal(size=(n_paths, n)), axis=1)
+    traj = trajectories("matrix", n, 1.0, 4, n_paths, np.random.default_rng(89), x0=x0)
+    assert np.array_equal(traj[:, 0], x0)
+    for k in range(1, 5):
+        excess = (traj[:, k] ** 2).sum(axis=1) - (x0**2).sum(axis=1)
+        stderr = excess.std(ddof=1) / math.sqrt(n_paths)
+        assert abs(excess.mean() - n * n * k / 4) < 4 * stderr
+
+
+def test_dyson_euler_maruyama_matches_the_matrix_process_from_x0():
+    # the eigenvalues of diag(x0) + H(t) are Dyson's process from x0 (Dyson
+    # 1962): at N = 3 and t = 1, 5,000 Euler-Maruyama paths of 256 steps
+    # against 5,000 exact draws, every coordinate
+    from scipy.stats import ks_2samp
+
+    x0 = [-0.5, 0.2, 1.0]
+    em = terminal("dyson", 3, 1.0, 256, 5_000, np.random.default_rng(90), x0=x0)
+    exact = terminal("matrix", 3, 1.0, 1, 5_000, np.random.default_rng(91), x0=x0)
+    for coord in range(3):
+        assert ks_2samp(em[:, coord], exact[:, coord]).pvalue > 1e-3
+
+
+def test_matrix_steps_refuse_to_run_past_the_horizon(monkeypatch):
+    import re
+
+    from noncollide import rmt
+    from noncollide.diffusion import grid_states
+
+    rng = np.random.default_rng(0)
+    # a step from exactly T divided by zero; a step from past T ran on
+    for dt, n_steps, horizon in ((0.5, 4, 1.0), (0.5, 3, 0.7)):
+        steps = rmt.eigen_steps(np.zeros((2, 2, 2), dtype=complex), dt, n_steps, rng, horizon)
+        message = f"end at {n_steps * dt!r}, past the horizon {horizon!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(steps)
+    # a grid to t_end = T ends at T up to rounding, which is not refused
+    monkeypatch.setattr(rmt, "MATRIX_BLOCK", 1)  # the first state is one step
+    for horizon in (1.0, 0.7, 1.5, 1e-3, 3.3):
+        for n_steps in range(1, 2001):
+            next(grid_states("matrix", 1, horizon, n_steps, 1, rng, horizon=horizon))
 
 
 # the public functions and classes of the simulation modules; one added or
@@ -597,6 +649,13 @@ NON_FINITE_CALLS = {
     "drift t nan": (lambda: drift_inhomogeneous(NAN, (0.0, 1.0), 1.0), "t must be finite"),
     "engine x0 nan": (
         lambda: terminal("dyson", 2, 1.0, 4, 3, np.random.default_rng(0), x0=(0.0, NAN)),
+        "not finite",
+    ),
+    "engine x0 row nan": (
+        lambda: terminal(
+            "finite-horizon", 2, 1.0, 4, 3, np.random.default_rng(0),
+            x0=[(0.0, 1.0), (0.0, NAN), (0.0, 1.0)], horizon=2.0,
+        ),
         "not finite",
     ),
     "engine t_end nan": (

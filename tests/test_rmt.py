@@ -202,8 +202,8 @@ def test_increment_step_axis_reads_the_stream_as_successive_calls():
 
 
 # sha256 of the to_dict() JSON of drift_qv_report(3, 20, 13, 1e-3, rng(91)),
-# recorded when the report drew and diagonalised one step at a time
-DRIFT_QV_PINNED = "45c99f8aebe2eb7f61a0a450379459dbace6804c17db23260082cbafd80930b2"
+# recorded when the report started the engine at diag(lambda) of its draw
+DRIFT_QV_PINNED = "a1caa776443e4a4eaeffdc66e2a23e71c43b5608bf7d981dfda6ff301db4bb94"
 
 
 @pytest.mark.parametrize("steps_per_block", [1, 5, None])
