@@ -21,6 +21,17 @@ class EnumerationCapError(RuntimeError):
     """Raised when a brute-force operation would exceed its tuple budget."""
 
 
+def to_fraction(value: int | Fraction | str) -> Fraction:
+    """``Fraction(value)`` of a value read from outside the program. Every
+    refusal is a ValueError that names the value: a zero denominator
+    (``"1/0"``), an infinite float or a value of another type would
+    otherwise raise ZeroDivisionError, OverflowError or TypeError."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise ValueError(f"cannot read {value!r} as a rational: {exc}") from None
+
+
 def det_bareiss(matrix: Sequence[Sequence[ExactNumber]]) -> ExactNumber:
     """Exact determinant of a square matrix of ints / Fractions.
 

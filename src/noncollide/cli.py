@@ -20,7 +20,7 @@ Importing this module loads numpy and the package only; scipy is imported
 on first use, by the commands that need it: ``density --kind g`` and
 ``--kind survival`` (de Bruijn's erf Pfaffian), ``simulate-inhomogeneous``
 (its drift is that Pfaffian), ``scaling-check`` (Pochhammer symbols) and the
-``verify`` suites that run a KS, chi-square, quadrature or erf check. The
+``verify`` suites that run a KS, quadrature or erf check. The
 lattice commands, ``density --kind km`` and ``p``, ``simulate-dyson``,
 ``simulate-matrix`` and ``verify-sde`` never load it.
 
@@ -159,9 +159,9 @@ def _cmd_count(args, cfg: RunConfig) -> int:
 
 def _cmd_schur(args, cfg: RunConfig) -> int:
     shape = combinat.Partition(_ints(args.shape))
+    z = schur.EvalPoint(args.points.split(",")) if args.points else None
     if args.method == "principal":
-        if args.points:
-            z = schur.EvalPoint([Fraction(p) for p in args.points.split(",")])
+        if z is not None:
             if any(v != 1 for v in z.values):
                 raise ValueError("principal method evaluates at all-ones points")
             n_vars = len(z)
@@ -171,9 +171,8 @@ def _cmd_schur(args, cfg: RunConfig) -> int:
                 raise ValueError("principal method needs --points or --n-vars")
         _emit_value(cfg, schur.principal_specialization(shape, n_vars))
         return 0
-    if not args.points:
+    if z is None:
         raise ValueError(f"method {args.method} needs --points")
-    z = schur.EvalPoint([Fraction(p) for p in args.points.split(",")])
     fn = {
         "ssyt": schur.schur_ssyt_sum,
         "bialternant": schur.schur_bialternant,

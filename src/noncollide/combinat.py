@@ -203,9 +203,6 @@ class WalkRecord:
     def endpoints(self) -> tuple[int, ...]:
         return self.positions()[-1]
 
-    def left_step_counts(self) -> tuple[int, ...]:
-        return tuple(row.count(-1) for row in self.steps)
-
     def to_json(self) -> dict:
         return {
             "start": list(self.start),

@@ -387,11 +387,6 @@ def drift_inhomogeneous(t: float, x: ArrayLike, horizon: float) -> np.ndarray:
     return _inhomogeneous_drift_batch(horizon)(x[None, :], np.array([t]))[0]
 
 
-def asymptotic_drift(x: ArrayLike) -> np.ndarray:
-    """Long-horizon drift limit: sum_{j != i} 1 / (x_i - x_j)."""
-    return dyson_drift(_as_point(x)[None])[0]
-
-
 @dataclass(frozen=True)
 class SamplePath:
     """One path on a time grid: the states (len(times), N) at strictly

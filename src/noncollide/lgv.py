@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import permutations, product
 from typing import Hashable, Iterable, Sequence
@@ -22,6 +21,7 @@ from ._exact import (
     EnumerationCapError,
     ExactNumber,
     det_bareiss,
+    to_fraction,
 )
 
 Vertex = Hashable
@@ -140,7 +140,7 @@ def _weight_json(w: ExactNumber):
 
 
 def _weight_load(w) -> ExactNumber:
-    return w if isinstance(w, int) else Fraction(w)
+    return w if isinstance(w, int) else to_fraction(w)
 
 
 @dataclass(frozen=True)
@@ -245,41 +245,6 @@ def _tuple_space(
         if total > cap:
             raise EnumerationCapError(f"tuple space exceeds cap {cap}")
     return per_pair
-
-def _disjoint(paths: Sequence[tuple[Vertex, ...]]) -> bool:
-    seen: set[Vertex] = set()
-    for p in paths:
-        for v in p:
-            if v in seen:
-                return False
-        seen.update(p)
-    return True
-
-
-def brute_force_tuples(
-    g: PathGraph,
-    sources: Sequence[Vertex],
-    sinks: Sequence[Vertex],
-    nonintersecting_only: bool = True,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ExactNumber:
-    """Direct evaluation of the identity-pairing tuple sum.
-
-    Sums path-tuple weights over all (P_1, ..., P_N) with P_i from source i
-    to sink i, optionally restricted to pairwise vertex-disjoint tuples.
-    """
-    if len(sources) != len(sinks):
-        raise ValueError("need equally many sources and sinks")
-    per_pair = _tuple_space(g, sources, sinks, cap)
-    total: ExactNumber = 0
-    for combo in product(*per_pair):
-        if nonintersecting_only and not _disjoint(combo):
-            continue
-        w: ExactNumber = 1
-        for p in combo:
-            w *= g.path_weight(p)
-        total += w
-    return total
 
 
 def enumerate_tuples(

@@ -331,26 +331,11 @@ def gamma_from_increments(
     return (rotated * np.swapaxes(rotated, 1, 2)).real.mean(axis=0) / dt
 
 
-def estimate_gamma(
-    n: int,
-    n_steps: int,
-    rng: np.random.Generator,
-    conjugation: np.ndarray | None = None,
-) -> np.ndarray:
+def estimate_gamma(n: int, n_steps: int, rng: np.random.Generator) -> np.ndarray:
     """Empirical carre-du-champ matrix of the eigenvalue process, from
-    n_steps increments of size GAMMA_DT after a start at GAMMA_T_START.
-
-    ``conjugation``, if given, is a fixed unitary applied to every matrix
-    increment before accumulation; by unitary invariance of the matrix
-    process the estimates stay at 1.
-    """
+    n_steps increments of size GAMMA_DT after a start at GAMMA_T_START."""
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     start = hermitian_increment_batch(n, GAMMA_T_START, rng, 1)[0]
     increments = hermitian_increment_batch(n, GAMMA_DT, rng, n_steps)
-    if conjugation is not None:
-        v = np.asarray(conjugation, dtype=complex)
-        if not np.allclose(v.conj().T @ v, np.eye(n), atol=1e-10):
-            raise ValueError("conjugation must be unitary")
-        increments = np.einsum("ji,kjl,lm->kim", v.conj(), increments, v)
     return gamma_from_increments(start, increments, GAMMA_DT)

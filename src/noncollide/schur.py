@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence, Union
 
-from ._exact import det_bareiss
+from ._exact import det_bareiss, to_fraction
 from .combinat import Partition, conjugate
 
 RationalLike = Union[int, Fraction, str]
@@ -34,9 +34,7 @@ class EvalPoint:
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Iterable[RationalLike]):
-        object.__setattr__(
-            self, "values", tuple(Fraction(v) for v in values)
-        )
+        object.__setattr__(self, "values", tuple(map(to_fraction, values)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -50,9 +48,7 @@ class EvalPoint:
 
 
 def _point(z: EvalPoint | Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    if isinstance(z, EvalPoint):
-        return z.values
-    return tuple(Fraction(v) for v in z)
+    return (z if isinstance(z, EvalPoint) else EvalPoint(z)).values
 
 
 def elementary_symmetric_all(z: EvalPoint | Sequence[RationalLike]) -> list[Fraction]:
@@ -64,16 +60,6 @@ def elementary_symmetric_all(z: EvalPoint | Sequence[RationalLike]) -> list[Frac
         for j in range(len(coeffs) - 1, 0, -1):
             coeffs[j] += v * coeffs[j - 1]
     return coeffs
-
-
-def elementary_symmetric(j: int, z: EvalPoint | Sequence[RationalLike]) -> Fraction:
-    """j-th elementary symmetric polynomial at z; 0 for j > len(z)."""
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    values = _point(z)
-    if j > len(values):
-        return Fraction(0)
-    return elementary_symmetric_all(values)[j]
 
 
 def schur_ssyt_sum(
@@ -212,30 +198,3 @@ def principal_specialization(shape: Partition, n_vars: int) -> int:
     if rem != 0:
         raise AssertionError(f"specialization product not integral for {shape.parts}")
     return count
-
-
-def principal_specialization_q(
-    shape: Partition, n_vars: int, q: RationalLike
-) -> Fraction:
-    """Evaluation at the geometric point (1, q, ..., q^(T-1)).
-
-    q-factorized form q^(sum (k-1) lam_k) * prod_{i<j} (q^(lam_i-lam_j+j-i)-1)
-    / (q^(j-i)-1); its q -> 1 limit is ``principal_specialization``.
-    """
-    q = Fraction(q)
-    if q == 1:
-        raise ValueError("q=1 is the limit point; use principal_specialization")
-    if len(shape) > n_vars:
-        return Fraction(0)
-    lam = shape.padded(n_vars)
-    out = Fraction(1)
-    for k in range(n_vars):
-        if lam[k]:
-            out *= q ** (k * lam[k])
-    for i in range(n_vars):
-        for j in range(i + 1, n_vars):
-            den = q ** (j - i) - 1
-            if den == 0:
-                raise ValueError(f"q={q} is a root of unity of order <= {j - i}")
-            out *= (q ** (lam[i] - lam[j] + j - i) - 1) / den
-    return out

@@ -1,11 +1,11 @@
 """Statistical and numerical verification utilities.
 
-Thin, deterministic wrappers around scipy's KS tests, chi-square test and
-adaptive quadrature, returning a uniform ``TestReport`` record that the
-acceptance suite and the CLI both consume. Each wrapper imports the scipy
-module it needs when it is called, so importing this module loads numpy
-only. All tests are pure functions of their inputs; randomness always
-enters through explicit seeds upstream.
+Thin, deterministic wrappers around scipy's KS tests and adaptive
+quadrature, returning a uniform ``TestReport`` record that the acceptance
+suite and the CLI both consume. Each wrapper imports the scipy module it
+needs when it is called, so importing this module loads numpy only. All
+tests are pure functions of their inputs; randomness always enters
+through explicit seeds upstream.
 """
 
 from __future__ import annotations
@@ -183,35 +183,3 @@ def grid_cdf(
         return np.interp(np.asarray(q, dtype=float), xs, cum, left=0.0, right=1.0)
 
     return cdf
-
-
-def chi_square_counts(
-    observed: Sequence[int],
-    probabilities: Sequence[float],
-    name: str = "chi_square",
-    p_floor: float = P_VALUE_FLOOR,
-    seeds: tuple[int, ...] = (),
-) -> TestReport:
-    """Pearson chi-square test of category counts against exact weights."""
-    from scipy import stats
-
-    observed = np.asarray(observed, dtype=float)
-    probabilities = np.asarray(probabilities, dtype=float)
-    if observed.shape != probabilities.shape:
-        raise ValueError("counts and probabilities must align")
-    total = observed.sum()
-    expected = probabilities * total
-    keep = expected > 0
-    if not np.all(keep) and np.any(observed[~keep] > 0):
-        raise ValueError("observed mass on zero-probability category")
-    statistic, p_value = stats.chisquare(observed[keep], expected[keep])
-    return TestReport(
-        name=name,
-        statistic=float(statistic),
-        threshold=p_floor,
-        passed=bool(p_value > p_floor),
-        p_value=float(p_value),
-        sample_sizes=(int(total),),
-        seeds=seeds,
-        detail="pass iff p_value > threshold",
-    )

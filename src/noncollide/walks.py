@@ -8,16 +8,14 @@ Stembridge's Pfaffian (SurvivalCounts), multilinear in one binomial row per
 walker. Rows with mixed step counts sum out the next moves of the walkers
 not yet moved, so an exact sampler of the law conditioned on no collision
 through time T draws each step walker by walker, N Pfaffians per step. The
-per-endpoint sum and rejection sampling are kept as oracles. scaling_check
-takes the determinant in floating point from log ratios.
+per-endpoint sum and rejection sampling are test oracles, in tests/oracles.py.
+scaling_check takes the determinant in floating point from log ratios.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,12 +26,8 @@ from ._exact import (
     det_bareiss,
     sample_categorical_exact,
 )
-from .combinat import WalkRecord, canonical_start, check_start
+from .combinat import WalkRecord, check_start
 from .diffusion import chamber_constants, vandermonde_h
-
-
-class RetryCapError(RuntimeError):
-    pass
 
 
 def count_vicious(x: Sequence[int], y: Sequence[int], horizon: int) -> int:
@@ -55,37 +49,6 @@ def count_vicious(x: Sequence[int], y: Sequence[int], horizon: int) -> int:
     for prev, k in zip(wanted, wanted[1:]):
         binom[k] = binom[prev] * math.perm(horizon - prev, k - prev) // math.perm(k, k - prev)
     return det_bareiss([[binom.get(k, 0) for k in row] for row in ks])
-
-
-def count_canonical(y: Sequence[int], n_walkers: int, horizon: int) -> int:
-    """Walk count from the canonical start 0, 2, ..., 2(N-1).
-
-    Raises on parity violation (endpoints must be reachable walker-wise);
-    agrees with the tableau-counting route
-    principal_specialization(endpoints_to_partition(y, T), T).
-    """
-    y = tuple(int(v) for v in y)
-    if len(y) != n_walkers:
-        raise ValueError(f"expected {n_walkers} endpoints, got {len(y)}")
-    x0 = canonical_start(n_walkers)
-    for i, (xi, yi) in enumerate(zip(x0, y)):
-        if (horizon + xi - yi) % 2 != 0:
-            raise ValueError(
-                f"parity violation at walker {i + 1}: cannot reach {yi} "
-                f"from {xi} in {horizon} steps"
-            )
-    return count_vicious(x0, y, horizon)
-
-
-def enumerate_vicious(
-    x: Sequence[int],
-    y: Sequence[int],
-    horizon: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[WalkRecord]:
-    """Brute-force oracle: every nonintersecting step matrix x -> y."""
-    y = tuple(int(v) for v in y)
-    return [w for w in iter_nonintersecting(x, horizon, cap) if w.endpoints() == y]
 
 
 def iter_nonintersecting(
@@ -113,63 +76,6 @@ def iter_nonintersecting(
     yield from rec(x)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Endpoint-resolved walk counts and their exact normalizations.
-
-    ``counts[y]`` is M_N(T, y | x); ``normalized[y]`` is the probability
-    2^(-N*T) * M_N that an unconditioned walk survives and ends at y. The
-    sum of ``normalized`` over endpoints is the survival probability.
-    """
-
-    start: tuple[int, ...]
-    horizon: int
-    counts: dict[tuple[int, ...], int]
-    normalized: dict[tuple[int, ...], Fraction]
-
-    @property
-    def survival_probability(self) -> Fraction:
-        return sum(self.normalized.values(), Fraction(0))
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.counts.values())
-
-
-def _reachable_endpoints(x: tuple[int, ...], s: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing endpoint candidates walker-wise reachable in s steps.
-
-    All coordinates share the parity of s (starts are even), so strict
-    increase forces gaps of at least 2.
-    """
-    n = len(x)
-
-    def rec(i: int, prev: int | None) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield ()
-            return
-        lo = x[i] - s if prev is None else max(x[i] - s, prev + 2)
-        for yi in range(lo, x[i] + s + 1, 2):
-            for rest in rec(i + 1, yi):
-                yield (yi,) + rest
-
-    yield from rec(0, None)
-
-
-def count_table(x: Sequence[int], horizon: int) -> CountTable:
-    """Exact endpoint law of the surviving walks from x."""
-    x = check_start(x)
-    n = len(x)
-    counts: dict[tuple[int, ...], int] = {}
-    denom = 2 ** (n * horizon)
-    for y in _reachable_endpoints(x, horizon):
-        m = count_vicious(x, y, horizon)
-        if m:
-            counts[y] = m
-    normalized = {y: Fraction(m, denom) for y, m in counts.items()}
-    return CountTable(x, horizon, counts, normalized)
-
-
 class SurvivalCounts:
     """Survivor counts W(a, s): the walks from a that survive s steps,
     whatever their endpoints. ``s`` is one step count for all walkers or a
@@ -181,7 +87,8 @@ class SurvivalCounts:
     taken with prefix sums over one window of endpoints of common parity.
     Odd N borders Q with each row's own total 2^(s_i). Since det Q = (Pf Q)^2
     and W >= 0, W is the integer square root of a Bareiss determinant. The
-    sum of M_N(s, y | a) over endpoints (count_table) is the oracle.
+    sum of M_N(s, y | a) over endpoints (count_table in tests/oracles.py) is
+    the oracle.
 
     W is multilinear in the rows G_i and zero when two are equal, and the
     row of (a_i, s_i) is the sum of the rows of (a_i - 1, s_i - 1) and
@@ -247,29 +154,6 @@ def sample_conditioned(x: Sequence[int], horizon: int, rng: np.random.Generator)
     return WalkRecord(x, tuple(map(tuple, steps)))
 
 
-def rejection_sample(
-    x: Sequence[int],
-    horizon: int,
-    rng: np.random.Generator,
-    max_retries: int = 10**6,
-) -> WalkRecord:
-    """Oracle sampler: draw unconditioned step matrices until one survives."""
-    x = check_start(x)
-    n = len(x)
-    for _ in range(max_retries):
-        steps = rng.integers(0, 2, size=(n, horizon)) * 2 - 1
-        pos = np.fromiter(x, dtype=np.int64)
-        ok = True
-        for t in range(horizon):
-            pos = pos + steps[:, t]
-            if np.any(np.diff(pos) <= 0):
-                ok = False
-                break
-        if ok:
-            return WalkRecord(x, tuple(tuple(int(s) for s in row) for row in steps))
-    raise RetryCapError(f"no surviving walk in {max_retries} attempts")
-
-
 def floor_scale(value: float, scale: float) -> int:
     """2 * floor(scale * value / 2): the even-lattice embedding used by the
     diffusion-scaling comparison."""
@@ -306,6 +190,14 @@ def scaling_check(
     y = tuple(float(v) for v in y)
     if len(y) != n:
         raise ValueError("dimension mismatch between x and y")
+    # the lattice embedding floors t L^2 and y_i L, which must be finite
+    finite = {"t": t, "scale": scale, "scale^2 * t": scale * scale * t}
+    for i, v in enumerate(y):
+        finite[f"y[{i}]"] = v
+        finite[f"scale * y[{i}]"] = scale * v
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ValueError(f"scaling check needs a finite {name}, got {value!r}")
     horizon = floor_scale(t, scale * scale)
     y_lattice = tuple(floor_scale(v, scale) for v in y)
     for a, b in zip(y_lattice, y_lattice[1:]):

@@ -51,6 +51,15 @@ def test_schur_methods(capsys):
     assert code == 0 and out.strip() == "19/36"
 
 
+@pytest.mark.parametrize("method", ["ssyt", "bialternant", "dualjt", "principal"])
+def test_schur_refuses_zero_denominator(method, capsys):
+    code, out, err = run_cli(
+        ["schur", "--shape", "1", "--points", "1/0", "--method", method], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "cannot read '1/0' as a rational" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.run(["no-such-command"])
@@ -102,6 +111,19 @@ def test_lgv_command(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "3"
     assert lines[1] == "compatible: true"
+
+
+@pytest.mark.parametrize("weight", ["1/0", None, math.inf])
+def test_lgv_refuses_unreadable_weight(weight, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(
+        {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "weight": weight}]}
+    ))
+    code, out, err = run_cli(
+        ["lgv", "--graph", str(path), "--sources", "a", "--sinks", "b"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"cannot read {weight!r} as a rational" in err
 
 
 def test_density_values(capsys):
@@ -248,6 +270,20 @@ def test_scaling_check_rejects_nonpositive(flags, capsys):
     )
     assert code == 1 and out == ""
     assert "needs t > 0 and scale > 0" in err
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--t", "inf", "--y", "-1,1", "--scale", "50"], "finite t,"),
+        (["--t", "1", "--y", "-1,1", "--scale", "1e200"], "finite scale^2 * t,"),
+        (["--t", "1", "--y", "0,nan", "--scale", "50"], "finite y[1],"),
+    ],
+)
+def test_scaling_check_refuses_non_finite(flags, name, capsys):
+    code, out, err = run_cli(["scaling-check", "--start", "0,2"] + flags, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and name in err
 
 
 @pytest.mark.parametrize(

@@ -186,7 +186,7 @@ def test_round_trip_exhaustive_small():
 def test_figure_walk_facts():
     tab = SSYT([(2, 3, 4, 6), (4, 4, 6), (5, 6)], max_entry=6)
     walk = tableau_to_walk(tab, 4, 6)
-    assert walk.left_step_counts() == (3, 3, 2, 1)
+    assert tuple(row.count(-1) for row in walk.steps) == (3, 3, 2, 1)
     assert walk.endpoints() == (0, 2, 6, 10)
     again = walk_to_tableau(walk)
     assert again == tab

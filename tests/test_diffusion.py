@@ -7,9 +7,9 @@ import pytest
 from noncollide.diffusion import (
     ChamberConstants,
     SamplePath,
-    asymptotic_drift,
     chamber_constants,
     drift_inhomogeneous,
+    dyson_drift,
     dyson_terminal_batch,
     dyson_trajectories,
     km_density,
@@ -187,7 +187,7 @@ def test_drift_inhomogeneous():
     assert np.max(np.abs(near_end)) < 0.01
     with pytest.raises(ValueError):
         drift_inhomogeneous(3.0, [0.0, 2.0], 2.0)
-    assert asymptotic_drift([0.0, 1.0, 3.0])[1] == pytest.approx(1.0 - 0.5)
+    assert dyson_drift(np.array([[0.0, 1.0, 3.0]]))[0, 1] == pytest.approx(1.0 - 0.5)
 
 
 def test_sample_path_validation():
@@ -407,7 +407,7 @@ def test_matrix_steps_refuse_to_run_past_the_horizon(monkeypatch):
 # calls them by name, as it does drift_qv_report.
 SIMULATION_SURFACE = {
     "diffusion": {
-        "ChamberConstants", "SamplePath", "asymptotic_drift", "chamber_constants",
+        "ChamberConstants", "SamplePath", "chamber_constants",
         "drift_inhomogeneous", "dyson_drift", "dyson_terminal_batch",
         "dyson_trajectories", "grid_states", "inhomogeneous_terminal_batch",
         "km_density", "log_vandermonde_h", "marginal_cdf_from_origin",

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from noncollide.lgv import (
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     PathGraph,
     PathTuple,
-    brute_force_tuples,
     check_compatibility,
     enumerate_paths,
     enumerate_tuples,
@@ -19,6 +19,17 @@ from noncollide.lgv import (
 
 VW_SOURCES = [(0, 0), (2, 0)]
 VW_SINKS = [(0, 2), (2, 2)]
+
+
+def brute_force_tuples(g, sources, sinks, nonintersecting_only, cap=DEFAULT_ENUMERATION_CAP):
+    """Weight of the tuples pairing source i with sink i, only the
+    vertex-disjoint ones if asked, straight from the enumeration."""
+    identity = tuple(range(len(sources)))
+    return sum(
+        c.weight(g)
+        for c in enumerate_tuples(g, sources, sinks, cap)
+        if c.permutation == identity and not (nonintersecting_only and c.intersection_vertices())
+    )
 
 
 def test_green_function_basics():

@@ -8,6 +8,8 @@ from scipy import stats
 
 from noncollide.diffusion import SamplePath, trajectories
 from noncollide.rmt import (
+    GAMMA_DT,
+    GAMMA_T_START,
     DriftQVReport,
     drift_qv_report,
     eigen_terminal_batch,
@@ -143,12 +145,13 @@ def test_estimate_gamma_unitary_invariance():
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    gamma = estimate_gamma(
-        3, 30_000, np.random.default_rng(66), conjugation=q
-    )
+    # estimate_gamma's draws, each increment conjugated by the fixed unitary q
+    rng = np.random.default_rng(66)
+    start = hermitian_increment_batch(3, GAMMA_T_START, rng, 1)[0]
+    increments = hermitian_increment_batch(3, GAMMA_DT, rng, 30_000)
+    rotated = np.einsum("ji,kjl,lm->kim", q.conj(), increments, q)
+    gamma = gamma_from_increments(start, rotated, GAMMA_DT)
     assert np.max(np.abs(gamma - 1.0)) < 0.06
-    with pytest.raises(ValueError):
-        estimate_gamma(2, 100, np.random.default_rng(0), conjugation=np.ones((2, 2)))
 
 
 def test_gamma_from_increments_direct():

@@ -1,7 +1,8 @@
 """The float scaling-limit route against exact big-integer counts, at
-large L, and its cancellation guard."""
+large L, its cancellation guard and its argument checks."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -43,6 +44,22 @@ def test_cancellation_guard():
     # five walkers at L=400: the determinant cancels past the float limit
     with pytest.raises(ValueError, match="cancels"):
         scaling_check((0, 2, 4, 6, 8), 1.0, (-1.2, -0.6, 0.0, 0.6, 1.2), 400)
+
+
+@pytest.mark.parametrize(
+    "t, y, scale, name",
+    [
+        (math.inf, (-1.0, 1.0), 50.0, "t"),
+        (1.0, (-1.0, 1.0), math.inf, "scale"),
+        (1.0, (-1.0, 1.0), 1e200, "scale^2 * t"),
+        (1.0, (-math.inf, 1.0), 50.0, "y[0]"),
+        (1.0, (0.0, math.nan), 50.0, "y[1]"),
+        (1e-300, (0.0, 1e300), 1e10, "scale * y[1]"),
+    ],
+)
+def test_non_finite_arguments_are_named(t, y, scale, name):
+    with pytest.raises(ValueError, match=f"needs a finite {re.escape(name)},"):
+        scaling_check((0, 2), t, y, scale)
 
 
 @pytest.mark.parametrize("t, scale", [(0.0, 50.0), (-1.0, 50.0), (1.0, 0.0), (1.0, -5.0)])

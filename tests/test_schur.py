@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from noncollide.combinat import Partition, enumerate_ssyt, monomial_exponents
 from noncollide.schur import (
     EvalPoint,
-    elementary_symmetric,
     elementary_symmetric_all,
     principal_specialization,
-    principal_specialization_q,
     schur_bialternant,
     schur_dual_jt,
     schur_ssyt_sum,
 )
+from oracles import principal_specialization_q
 
 
 def shapes_up_to(total):
@@ -32,13 +31,11 @@ def shapes_up_to(total):
 
 
 def test_elementary_symmetric_examples():
-    assert elementary_symmetric(2, EvalPoint((1, 1, 1))) == 3
-    assert elementary_symmetric(0, EvalPoint((7, 9))) == 1
-    assert elementary_symmetric(2, EvalPoint((1, 2, 3))) == 11
-    assert elementary_symmetric(4, EvalPoint((1, 2, 3))) == 0
+    assert elementary_symmetric_all(EvalPoint((1, 1, 1)))[2] == 3
+    assert elementary_symmetric_all(EvalPoint((7, 9)))[0] == 1
+    assert elementary_symmetric_all(EvalPoint((1, 2, 3)))[2] == 11
+    assert len(elementary_symmetric_all(EvalPoint((1, 2, 3)))) == 4  # e_4 = 0 is past the end
     assert elementary_symmetric_all((1, 2, 3)) == [1, 6, 11, 6]
-    with pytest.raises(ValueError):
-        elementary_symmetric(-1, EvalPoint((1,)))
 
 
 def test_elementary_symmetric_permutation_invariant():

@@ -6,20 +6,15 @@ import pytest
 
 from noncollide.combinat import canonical_start, endpoints_to_partition
 from noncollide.schur import principal_specialization
-from noncollide.verify import chi_square_counts
 from noncollide.walks import (
     EnumerationCapError,
-    RetryCapError,
-    count_canonical,
-    count_table,
     count_vicious,
-    enumerate_vicious,
     floor_scale,
     iter_nonintersecting,
-    rejection_sample,
     sample_conditioned,
     scaling_check,
 )
+from oracles import RetryCapError, chi_square_counts, count_table, rejection_sample
 
 
 def test_count_vicious_examples():
@@ -31,20 +26,22 @@ def test_count_vicious_examples():
 
 
 def test_count_canonical():
-    assert count_canonical((0, 2), 2, 2) == 3
-    assert count_canonical((0, 2, 4), 3, 0) == 1
+    assert count_vicious(canonical_start(2), (0, 2), 2) == 3
+    assert count_vicious(canonical_start(3), (0, 2, 4), 0) == 1
     lam = endpoints_to_partition((0, 2), 2)
     assert principal_specialization(lam, 2) == 3
+    assert count_vicious(canonical_start(2), (1, 3), 2) == 0  # parity
     with pytest.raises(ValueError):
-        count_canonical((1, 3), 2, 2)
-    with pytest.raises(ValueError):
-        count_canonical((0, 2), 3, 2)
+        count_vicious(canonical_start(3), (0, 2), 2)
 
 
 def test_enumerate_vicious():
-    assert len(enumerate_vicious((0, 2), (0, 2), 2)) == 3
-    assert enumerate_vicious((0, 2), (-4, 2), 1) == []
-    single = enumerate_vicious((0,), (1,), 1)
+    def ending_at(x, y, horizon):
+        return [w for w in iter_nonintersecting(x, horizon) if w.endpoints() == y]
+
+    assert len(ending_at((0, 2), (0, 2), 2)) == 3
+    assert ending_at((0, 2), (-4, 2), 1) == []
+    single = ending_at((0,), (1,), 1)
     assert len(single) == 1 and single[0].steps == ((1,),)
 
 
