@@ -182,17 +182,27 @@ def _cmd_schur(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_tableau(args, cfg: RunConfig) -> int:
-    if args.infile == "-":
+def _load_json(path: str, parse, what: str):
+    """parse(the JSON in the file at path, or on stdin for "-"); JSON of the
+    wrong shape, a number where a list belongs or an object where a vertex
+    does, raises ValueError naming the file."""
+    if path == "-":
         data = json.load(sys.stdin)
     else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    try:
+        return parse(data)
+    except TypeError as exc:
+        raise ValueError(f"{path}: not a {what} ({exc})") from None
+
+
+def _cmd_tableau(args, cfg: RunConfig) -> int:
     if args.to == "ssyt":
-        record = combinat.WalkRecord.from_json(data)
+        record = _load_json(args.infile, combinat.WalkRecord.from_json, "walk record")
         result = combinat.walk_to_tableau(record).to_json()
     else:
-        tableau = combinat.SSYT.from_json(data)
+        tableau = _load_json(args.infile, combinat.SSYT.from_json, "tableau")
         if args.n is None or args.steps is None:
             raise ValueError("to-walk conversion needs --n and --steps")
         result = combinat.tableau_to_walk(tableau, args.n, args.steps).to_json()
@@ -203,7 +213,7 @@ def _cmd_tableau(args, cfg: RunConfig) -> int:
 
 
 def _cmd_lgv(args, cfg: RunConfig) -> int:
-    graph = lgv.load_graph(args.graph)
+    graph = _load_json(args.graph, lgv.PathGraph.from_json, "path graph")
     sources = _vertices(args.sources)
     sinks = _vertices(args.sinks)
     det = lgv.lgv_determinant(graph, sources, sinks)
@@ -301,6 +311,13 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     return 0
 
 
+# the grid is count^2 points, held as (count^2, 2) float arrays several
+# times over and then as CSV text of about 50 bytes a row: at count 1000 (a
+# million rows) a run peaks near 400 MB; count 30,000 would take 14 GB for
+# the points alone
+GRID_COUNT_LIMIT = 1000
+
+
 def _cmd_density(args, cfg: RunConfig) -> int:
     unused = {"km": ("s", "horizon"), "p": ("horizon",), "survival": ("s", "y", "horizon")}
     for name in unused.get(args.kind, ()):
@@ -319,9 +336,12 @@ def _cmd_density(args, cfg: RunConfig) -> int:
             raise ValueError("grid output supports kinds km, g, p")
         try:
             lo, hi, count = args.grid.split(":")
-            ys = np.linspace(float(lo), float(hi), int(count))
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
             raise ValueError(f"--grid must be lo:hi:count, got {args.grid!r}") from None
+        if not 0 <= count <= GRID_COUNT_LIMIT:
+            raise ValueError(f"--grid count must be in 0..{GRID_COUNT_LIMIT}, got {count}")
+        ys = np.linspace(lo, hi, count)
         y = np.stack(np.meshgrid(ys, ys, indexing="ij"), axis=-1)
     elif args.y:
         y = diffusion._as_point(_floats(args.y))

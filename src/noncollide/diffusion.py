@@ -16,6 +16,8 @@ The three transition densities take a batch of end points y (..., N) and
 are exactly 0 off the open chamber, where h_N(y) is not positive. They are
 evaluated in log space and exponentiated at the API boundary; the power
 t^(-N^2/2) and the squared Vandermonde factor underflow quickly otherwise.
+``coordinate_cdfs`` gives the law of each ordered coordinate of the
+h-transform from the origin, exactly, through Andreief's identity.
 
 Survival and the finite-horizon drift take one route, de Bruijn's Pfaffian
 (de Bruijn 1955):
@@ -54,7 +56,6 @@ model is not the finite-horizon process from x0: it runs from zero only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -63,7 +64,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .verify import grid_cdf, quadrature_integrate
+from .verify import quadrature_integrate
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -377,6 +378,58 @@ def transition_homogeneous(
     return _on_chamber(y, x.size, lambda v, log_h: _log_km(t - s, x, v) + log_h - log_hx)
 
 
+MAX_CDF_N = 32  # the largest N at which the tests check coordinate_cdfs
+CDF_BLOCK_VALUES = 2_000_000  # Hermite-function values held per block of points
+
+
+def coordinate_cdfs(n: int, t: float, s: ArrayLike) -> np.ndarray:
+    """P(y_(k) <= s) for k = 1..n, shape s.shape + (n,), under the
+    from-origin law of the h-transform at time t, c'_N t^(-N^2/2)
+    exp(-|y|^2/2t) h_N(y)^2 (GUE eigenvalues), for 1 <= n <= MAX_CDF_N.
+
+    By Andreief's identity the count #{i : y_i <= s} is a sum of n
+    independent Bernoulli variables whose parameters are the eigenvalues of
+    the Gram matrix G_ij = int_{-inf}^{s/sqrt(t)} psi_i psi_j of the
+    orthonormal Hermite functions psi_0, ..., psi_(n-1) (Tracy and Widom,
+    J. Stat. Phys. 92 (1998) 809), and P(y_(k) <= s) = P(count >= k).
+    G is integrated by Gauss-Legendre on [lo, s/sqrt(t)], lo = -(2 sqrt(n) + 7)
+    lying 7 past the last turning point of psi_(n-1), with 60 + 3n nodes.
+    """
+    _finite(t=t)
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    if not 1 <= n <= MAX_CDF_N:
+        raise ValueError(f"need 1 <= n <= {MAX_CDF_N}, got n = {n}")
+    s = np.asarray(s, dtype=float)
+    if np.isnan(s).any():
+        raise ValueError("s must not be NaN")
+    lo = -(2.0 * math.sqrt(n) + 7.0)
+    nodes, weights = np.polynomial.legendre.leggauss(60 + 3 * n)
+    u = np.clip(s.ravel() / math.sqrt(t), lo, -lo)
+    lam = np.empty((u.size, n))
+    block = max(1, CDF_BLOCK_VALUES // (nodes.size * n))
+    for a in range(0, u.size, block):
+        half = (u[a : a + block, None] - lo) / 2.0
+        x = lo + half * (nodes + 1.0)
+        # x psi_k = sqrt(k + 1) psi_(k+1) + sqrt(k) psi_(k-1)
+        psi = [np.exp(-x * x / 4.0) / (2.0 * math.pi) ** 0.25]
+        for k in range(n - 1):
+            below = math.sqrt(k) * psi[k - 1] if k else 0.0
+            psi.append((x * psi[k] - below) / math.sqrt(k + 1))
+        psi = np.stack(psi, axis=-1)
+        gram = np.swapaxes(psi, 1, 2) @ ((half * weights)[..., None] * psi)
+        lam[a : a + block] = np.linalg.eigvalsh(gram)
+    lam = np.clip(lam, 0.0, 1.0)
+    law = np.zeros((u.size, n + 1))  # P(count = j), one Bernoulli factor at a time
+    law[:, 0] = 1.0
+    for k in range(n):
+        p = lam[:, k : k + 1]
+        law[:, 1:] = law[:, 1:] * (1.0 - p) + law[:, :-1] * p
+        law[:, 0] *= 1.0 - p[:, 0]
+    at_least = np.cumsum(law[:, :0:-1], axis=1)[:, ::-1]
+    return at_least.reshape(s.shape + (n,))
+
+
 def drift_inhomogeneous(t: float, x: ArrayLike, horizon: float) -> np.ndarray:
     """Drift of the finite-horizon process: grad_x log N_N(T - t, x), from
     the erf Pfaffian."""
@@ -684,59 +737,3 @@ def inhomogeneous_terminal_batch(
 ) -> np.ndarray:
     """Terminal states at t_end <= T of many finite-horizon paths."""
     return terminal("finite-horizon", n, t_end, n_steps, n_paths, rng, horizon=horizon)
-
-
-MARGINAL_NODES = 2001  # trapezoid nodes over the other coordinate of a marginal
-
-
-def marginal_cdf_from_origin(
-    n: int,
-    t: float,
-    coord: int,
-    kind: str = "homogeneous",
-    horizon: float | None = None,
-    grid_points: int = 1201,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """CDF of one coordinate of the from-origin law at time t (N = 2 only).
-
-    The grid is grid_points points on +-6 sqrt(N t). At each grid point the
-    joint density is integrated over the other coordinate, out to 2 past
-    the grid, by the trapezoid rule on MARGINAL_NODES nodes in u, the gap
-    to the grid point being span * u^2. In u the integrand vanishes to third order at 0, also at t = T, where
-    the density is only linear in the gap. The (grid x nodes x 2) tensor of
-    end points is one call of the transition density. ``verify.grid_cdf``
-    tabulates the result and raises when the mass is far from 1. Used as
-    the reference distribution in KS tests.
-    """
-    if n != 2:
-        raise ValueError("marginals implemented for N = 2")
-    if coord not in (0, 1):
-        raise ValueError("coord must be 0 or 1")
-    if kind == "homogeneous":
-        if not t > 0:
-            raise ValueError("need t > 0")
-        joint = functools.partial(transition_homogeneous, 0.0, None, t)
-    elif kind == "inhomogeneous":
-        if horizon is None:
-            raise ValueError("inhomogeneous marginal needs the horizon")
-        if not 0 < t <= horizon:
-            raise ValueError("need 0 < t <= T")
-        joint = functools.partial(transition_inhomogeneous, 0.0, None, t, horizon=horizon)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
-    hi = 6.0 * math.sqrt(t) * math.sqrt(n)
-    lo = -hi
-    # the node u = 0 adds nothing: the density is 0 at gap 0
-    u = np.linspace(0.0, 1.0, MARGINAL_NODES)[1:]
-
-    def density(xs: np.ndarray) -> np.ndarray:
-        span = hi + 2.0 - xs if coord == 0 else xs - (lo - 2.0)
-        gap = span[:, None] * u * u
-        v = np.broadcast_to(xs[:, None], gap.shape)
-        y = np.stack((v, v + gap) if coord == 0 else (v - gap, v), axis=-1)
-        # trapezoid rule in u, with d(gap)/du = 2 span u
-        weighted = joint(y) * 2.0 * u
-        return span / u.size * (weighted.sum(axis=1) - 0.5 * weighted[:, -1])
-
-    return grid_cdf(density, lo, hi, grid_points)

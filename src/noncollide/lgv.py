@@ -10,10 +10,9 @@ so it can be tested directly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Sequence
 
 from ._exact import (
@@ -293,27 +292,68 @@ def tail_swap(c: PathTuple, g: PathGraph) -> PathTuple:
 
 
 def check_compatibility(
-    g: PathGraph,
-    sources: Sequence[Vertex],
-    sinks: Sequence[Vertex],
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    g: PathGraph, sources: Sequence[Vertex], sinks: Sequence[Vertex]
 ) -> bool:
     """True iff for every i < j each path u_i -> v_j meets each u_j -> v_i."""
-    n = len(sources)
-    if n != len(sinks):
+    if len(sources) != len(sinks):
         raise ValueError("need equally many sources and sinks")
-    for i in range(n):
-        for j in range(i + 1, n):
-            crossing_a = enumerate_paths(g, sources[i], sinks[j], cap)
-            crossing_b = enumerate_paths(g, sources[j], sinks[i], cap)
-            if len(crossing_a) * len(crossing_b) > cap:
-                raise EnumerationCapError("compatibility check exceeds cap")
-            for p in crossing_a:
-                pset = set(p)
-                for q in crossing_b:
-                    if pset.isdisjoint(q):
-                        return False
-    return True
+    for v in (*sources, *sinks):
+        if not g.has_vertex(v):
+            raise KeyError(f"unknown vertex {v!r}")
+    position = {v: k for k, v in enumerate(g._topo)}
+    pairs = combinations(range(len(sources)), 2)
+    return not any(
+        _disjoint_paths_exist(g, position, (sources[i], sources[j]), (sinks[j], sinks[i]))
+        for i, j in pairs
+    )
+
+
+def _disjoint_paths_exist(
+    g: PathGraph,
+    position: dict[Vertex, int],
+    starts: tuple[Vertex, Vertex],
+    ends: tuple[Vertex, Vertex],
+) -> bool:
+    """Whether a path starts[0] -> ends[0] and a path starts[1] -> ends[1]
+    share no vertex, by a search over the pairs of their heads.
+
+    A step moves the head earlier in the topological order, or the one not
+    yet at its end, to a vertex from which its end is still reachable. Each
+    path's vertices only rise in that order, so a head never meets the
+    other path behind the other head; two paths sharing a vertex c bring
+    the search to (c, c), which it never enters. So the search reaches
+    (ends[0], ends[1]) exactly when a disjoint pair exists, after at most
+    |V|^2 states.
+    """
+    live = [_ancestors(g, v) for v in ends]
+    if starts[0] == starts[1] or starts[0] not in live[0] or starts[1] not in live[1]:
+        return False
+    seen = {starts}
+    stack = [starts]
+    while stack:
+        a, b = stack.pop()
+        if (a, b) == ends:
+            return True
+        if b == ends[1] or (a != ends[0] and position[a] < position[b]):
+            moves = [(c, b) for c in g.successors(a) if c in live[0]]
+        else:
+            moves = [(a, c) for c in g.successors(b) if c in live[1]]
+        for state in moves:
+            if state[0] != state[1] and state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
+
+
+def _ancestors(g: PathGraph, v: Vertex) -> set[Vertex]:
+    """v and every vertex with a path to v."""
+    out, stack = {v}, [v]
+    while stack:
+        for u in g._pred[stack.pop()]:
+            if u not in out:
+                out.add(u)
+                stack.append(u)
+    return out
 
 
 def walk_graph(horizon: int, x_min: int, x_max: int) -> PathGraph:
@@ -343,7 +383,3 @@ def walk_graph(horizon: int, x_min: int, x_max: int) -> PathGraph:
     order = sorted(vertices, key=lambda v: (v[1], v[0]))
     return PathGraph(edges, vertices=vertices, order=order)
 
-
-def load_graph(path: str) -> PathGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PathGraph.from_json(json.load(fh))

@@ -157,29 +157,3 @@ def quadrature_integrate(
         )
     return float(value)
 
-
-def grid_cdf(
-    density: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    n_points: int = 2001,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Tabulate a 1-d density on a uniform grid and return its CDF.
-
-    The density is integrated by the trapezoid rule and normalized to mass
-    1; outside [lo, hi] the CDF saturates at 0 / 1. A mass on the grid
-    outside (0.9, 1.1) raises ValueError: the grid misses the density.
-    """
-    from scipy import integrate
-
-    xs = np.linspace(lo, hi, n_points)
-    ys = np.asarray(density(xs), dtype=float)
-    cum = integrate.cumulative_trapezoid(ys, xs, initial=0.0)
-    if not 0.9 < cum[-1] < 1.1:
-        raise ValueError(f"density mass {cum[-1]} far from 1; widen [{lo}, {hi}]")
-    cum = cum / cum[-1]
-
-    def cdf(q: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(q, dtype=float), xs, cum, left=0.0, right=1.0)
-
-    return cdf

@@ -3,18 +3,25 @@
 None of these is reached from the ``noncollide`` package: the per-endpoint
 sum of walk counts (against Stembridge's Pfaffian and the exact sampler),
 rejection sampling of surviving walks, the geometric-point evaluation of
-Schur functions, and a chi-square test of category counts.
+Schur functions, a chi-square test of category counts, and the N = 2
+coordinate CDFs of both from-origin laws, by a trapezoid tensor over the
+other coordinate (``marginal_cdf_from_origin``, against
+``diffusion.coordinate_cdfs`` and the finite-horizon engine) tabulated by
+``grid_cdf``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from noncollide.combinat import Partition, WalkRecord, check_start
+from noncollide.diffusion import transition_homogeneous, transition_inhomogeneous
 from noncollide.schur import RationalLike
 from noncollide.verify import P_VALUE_FLOOR, TestReport
 from noncollide.walks import count_vicious
@@ -161,3 +168,86 @@ def chi_square_counts(
         seeds=seeds,
         detail="pass iff p_value > threshold",
     )
+
+
+MARGINAL_NODES = 2001  # trapezoid nodes over the other coordinate of a marginal
+
+
+def marginal_cdf_from_origin(
+    n: int,
+    t: float,
+    coord: int,
+    kind: str = "homogeneous",
+    horizon: float | None = None,
+    grid_points: int = 1201,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """CDF of one coordinate of the from-origin law at time t (N = 2 only).
+
+    The grid is grid_points points on +-6 sqrt(N t). At each grid point the
+    joint density is integrated over the other coordinate, out to 2 past
+    the grid, by the trapezoid rule on MARGINAL_NODES nodes in u, the gap
+    to the grid point being span * u^2. In u the integrand vanishes to third order at 0, also at t = T, where
+    the density is only linear in the gap. The (grid x nodes x 2) tensor of
+    end points is one call of the transition density. ``grid_cdf``
+    tabulates the result and raises when the mass is far from 1. Used as
+    the reference distribution in KS tests.
+    """
+    if n != 2:
+        raise ValueError("marginals implemented for N = 2")
+    if coord not in (0, 1):
+        raise ValueError("coord must be 0 or 1")
+    if kind == "homogeneous":
+        if not t > 0:
+            raise ValueError("need t > 0")
+        joint = functools.partial(transition_homogeneous, 0.0, None, t)
+    elif kind == "inhomogeneous":
+        if horizon is None:
+            raise ValueError("inhomogeneous marginal needs the horizon")
+        if not 0 < t <= horizon:
+            raise ValueError("need 0 < t <= T")
+        joint = functools.partial(transition_inhomogeneous, 0.0, None, t, horizon=horizon)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+
+    hi = 6.0 * math.sqrt(t) * math.sqrt(n)
+    lo = -hi
+    # the node u = 0 adds nothing: the density is 0 at gap 0
+    u = np.linspace(0.0, 1.0, MARGINAL_NODES)[1:]
+
+    def density(xs: np.ndarray) -> np.ndarray:
+        span = hi + 2.0 - xs if coord == 0 else xs - (lo - 2.0)
+        gap = span[:, None] * u * u
+        v = np.broadcast_to(xs[:, None], gap.shape)
+        y = np.stack((v, v + gap) if coord == 0 else (v - gap, v), axis=-1)
+        # trapezoid rule in u, with d(gap)/du = 2 span u
+        weighted = joint(y) * 2.0 * u
+        return span / u.size * (weighted.sum(axis=1) - 0.5 * weighted[:, -1])
+
+    return grid_cdf(density, lo, hi, grid_points)
+
+
+def grid_cdf(
+    density: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    n_points: int = 2001,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Tabulate a 1-d density on a uniform grid and return its CDF.
+
+    The density is integrated by the trapezoid rule and normalized to mass
+    1; outside [lo, hi] the CDF saturates at 0 / 1. A mass on the grid
+    outside (0.9, 1.1) raises ValueError: the grid misses the density.
+    """
+    from scipy import integrate
+
+    xs = np.linspace(lo, hi, n_points)
+    ys = np.asarray(density(xs), dtype=float)
+    cum = integrate.cumulative_trapezoid(ys, xs, initial=0.0)
+    if not 0.9 < cum[-1] < 1.1:
+        raise ValueError(f"density mass {cum[-1]} far from 1; widen [{lo}, {hi}]")
+    cum = cum / cum[-1]
+
+    def cdf(q: np.ndarray) -> np.ndarray:
+        return np.interp(np.asarray(q, dtype=float), xs, cum, left=0.0, right=1.0)
+
+    return cdf

@@ -126,6 +126,41 @@ def test_lgv_refuses_unreadable_weight(weight, tmp_path, capsys):
     assert err.startswith("error:") and f"cannot read {weight!r} as a rational" in err
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("lgv", [1, 2], "not a path graph (list indices"),
+        ("lgv", {"vertices": [{"a": 1}], "edges": []}, "not a path graph (unhashable type"),
+        ("tableau", {"start": 5, "steps": [[1]]}, "not a walk record ('int' object is not iterable)"),
+    ],
+)
+def test_json_of_the_wrong_shape_is_refused(command, content, message, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "lgv": ["lgv", "--graph", str(path), "--sources", "a", "--sinks", "b"],
+        "tableau": ["tableau", "--to", "ssyt", "--in", str(path)],
+    }[command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: {message}")
+
+
+def test_lgv_compatibility_check_on_a_long_lattice(tmp_path, capsys):
+    # 2^16 paths per crossing pair, past any enumeration of pairs of paths
+    from noncollide import lgv
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(lgv.walk_graph(16, 0, 16).to_json()))
+    code, out, _ = run_cli(
+        ["lgv", "--graph", str(path), "--sources", "0,0;4,0", "--sinks", "0,16;4,16",
+         "--check-compatibility"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "compatible: true"
+
+
 def test_density_values(capsys):
     code, out, _ = run_cli(
         ["density", "--kind", "survival", "--t", "1", "--x", "0,2"], capsys
@@ -641,6 +676,7 @@ def test_non_finite_arguments_exit_1_without_output(argv, message, tmp_path, cap
         ("--kind p --grid -1:1", "--grid must be lo:hi:count"),
         ("--kind p --grid a:1:3", "--grid must be lo:hi:count"),
         ("--kind p --grid -1:1:2.5", "--grid must be lo:hi:count"),
+        ("--kind p --grid 0:1:100000000", "--grid count must be in 0..1000, got 100000000"),
         ("--kind p --grid -1:1:3 --y 0,1", "give --grid or --y, not both"),
         ("--kind p --y 1,0", "point [1.0, 0.0] is not strictly increasing"),
         ("--kind p", "kind p needs --y"),

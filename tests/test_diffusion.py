@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from noncollide.diffusion import (
+    MAX_CDF_N,
     ChamberConstants,
     SamplePath,
     chamber_constants,
+    coordinate_cdfs,
     drift_inhomogeneous,
     dyson_drift,
     dyson_terminal_batch,
     dyson_trajectories,
     km_density,
     log_vandermonde_h,
-    marginal_cdf_from_origin,
     sample_from_origin,
     survival,
     survival_asymptotic,
@@ -26,6 +27,7 @@ from noncollide.diffusion import (
     transition_inhomogeneous,
     vandermonde_h,
 )
+from oracles import marginal_cdf_from_origin
 
 
 def test_chamber_constants():
@@ -407,13 +409,13 @@ def test_matrix_steps_refuse_to_run_past_the_horizon(monkeypatch):
 # calls them by name, as it does drift_qv_report.
 SIMULATION_SURFACE = {
     "diffusion": {
-        "ChamberConstants", "SamplePath", "chamber_constants",
+        "ChamberConstants", "SamplePath", "chamber_constants", "coordinate_cdfs",
         "drift_inhomogeneous", "dyson_drift", "dyson_terminal_batch",
         "dyson_trajectories", "grid_states", "inhomogeneous_terminal_batch",
-        "km_density", "log_vandermonde_h", "marginal_cdf_from_origin",
-        "sample_from_origin", "survival", "survival_asymptotic", "survival_mc",
-        "survival_quadrature", "terminal", "trajectories", "transition_homogeneous",
-        "transition_inhomogeneous", "vandermonde_h",
+        "km_density", "log_vandermonde_h", "sample_from_origin", "survival",
+        "survival_asymptotic", "survival_mc", "survival_quadrature", "terminal",
+        "trajectories", "transition_homogeneous", "transition_inhomogeneous",
+        "vandermonde_h",
     },
     "rmt": {
         "DriftQVReport", "drift_qv_report", "eigen_steps", "eigen_terminal_batch",
@@ -538,7 +540,7 @@ def _adaptive_marginal_cdf(t, coord, kind, horizon, grid_points):
     # the scalar transition densities as the integrand
     from scipy import integrate
 
-    from noncollide.verify import grid_cdf
+    from oracles import grid_cdf
 
     width = 6.0 * math.sqrt(2.0 * t)
 
@@ -582,6 +584,117 @@ def test_marginal_rejects_times_past_the_horizon():
         marginal_cdf_from_origin(2, 1.5, 0, kind="inhomogeneous", horizon=1.0)
     with pytest.raises(ValueError, match="needs the horizon"):
         marginal_cdf_from_origin(2, 0.5, 0, kind="inhomogeneous")
+
+
+COORDINATE_PROBES = (-2.5, -1.2, -0.4, 0.0, 0.3, 1.1, 2.6)
+
+
+def test_coordinate_cdfs_match_adaptive_quadrature():
+    # P(y_(2) <= s) and 1 - P(y_(1) <= s) as adaptive double integrals of
+    # the N = 2 density (b - a)^2 exp(-(a^2 + b^2)/2) / 2 pi at t = 1, which
+    # is below 1e-30 past +-12
+    from scipy import integrate
+
+    def joint(b, a):
+        return (b - a) ** 2 * math.exp(-(a * a + b * b) / 2.0) / (2.0 * math.pi)
+
+    def ordered(lo, hi):
+        return integrate.dblquad(joint, lo, hi, lambda a: a, hi, epsabs=1e-15, epsrel=1e-13)[0]
+
+    cdfs = coordinate_cdfs(2, 1.0, COORDINATE_PROBES)
+    for s, (lower, upper) in zip(COORDINATE_PROBES, cdfs):
+        assert abs(upper - ordered(-12.0, s)) < 1e-12
+        assert abs(lower - (1.0 - ordered(s, 12.0))) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_coordinate_cdfs_match_the_tensor_oracle(t):
+    probe = np.linspace(-6.0, 6.0, 241) * math.sqrt(t)
+    cdfs = coordinate_cdfs(2, t, probe)
+    for coord in (0, 1):
+        tensor = marginal_cdf_from_origin(2, t, coord)(probe)
+        assert np.abs(cdfs[:, coord] - tensor).max() < 2e-5
+
+
+def _mp_coordinate_cdfs(n, u):
+    """P(y_(k) <= u), k = 1..n, at t = 1, to 40 digits, with the Gram matrix
+    in closed form: G_00 = Phi(u), G_(k+1)(k+1) = G_kk - psi_k psi_(k+1) /
+    sqrt(k + 1) from the ladder operators, and G_ij = (psi_i psi_j' -
+    psi_i' psi_j) / (i - j) from the Hermite equation."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        u = mpmath.mpf(u)
+        psi = [mpmath.exp(-u * u / 4) / (2 * mpmath.pi) ** mpmath.mpf(0.25)]
+        for k in range(n):
+            below = mpmath.sqrt(k) * psi[k - 1] if k else 0
+            psi.append((u * psi[k] - below) / mpmath.sqrt(k + 1))
+        # psi_k' = (sqrt(k) psi_(k-1) - sqrt(k + 1) psi_(k+1)) / 2
+        slope = [
+            ((mpmath.sqrt(k) * psi[k - 1] if k else 0) - mpmath.sqrt(k + 1) * psi[k + 1]) / 2
+            for k in range(n)
+        ]
+        gram = mpmath.matrix(n, n)
+        gram[0, 0] = mpmath.ncdf(u)
+        for k in range(n - 1):
+            gram[k + 1, k + 1] = gram[k, k] - psi[k] * psi[k + 1] / mpmath.sqrt(k + 1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                gram[i, j] = gram[j, i] = (psi[i] * slope[j] - slope[i] * psi[j]) / (i - j)
+        law = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+        for lam in mpmath.eigsy(gram)[0]:
+            law = [law[0] * (1 - lam)] + [law[j] * (1 - lam) + law[j - 1] * lam for j in range(1, n + 1)]
+        return [float(mpmath.fsum(law[k:])) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 16, MAX_CDF_N])
+def test_coordinate_cdfs_match_the_closed_form_gram_matrix(n):
+    probe = np.linspace(-2.0 * math.sqrt(n) - 4.0, 2.0 * math.sqrt(n) + 4.0, 7)
+    exact = np.array([_mp_coordinate_cdfs(n, u) for u in probe])
+    cdfs = coordinate_cdfs(n, 2.0, probe * math.sqrt(2.0))
+    assert np.abs(cdfs - exact).max() < 1e-12
+    assert np.all(np.diff(cdfs, axis=0) >= -1e-15)  # nondecreasing in s
+    assert np.all(np.diff(cdfs, axis=1) <= 1e-15)  # y_(k) <= y_(k+1)
+
+
+# seeds fixed before the first run, one per N; 1e-3 over the N coordinates
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_coordinate_cdfs_match_the_matrix_engine(n):
+    from scipy.stats import kstest
+
+    draws = terminal("matrix", n, 0.7, 1, 20_000, np.random.default_rng(880 + n))
+    for k in range(n):
+        p_value = kstest(draws[:, k], lambda s: coordinate_cdfs(n, 0.7, s)[..., k]).pvalue
+        assert p_value > 1e-3 / n, (k, p_value)
+
+
+def test_coordinate_cdfs_tails_and_reflection():
+    for n in range(1, MAX_CDF_N + 1):
+        low, zero, high = coordinate_cdfs(n, 0.6, [-math.inf, 0.0, math.inf])
+        assert np.all(low == 0.0), n
+        assert np.abs(high - 1.0).max() < 1e-12, n
+        # y -> -y keeps the law and sends y_(k) to -y_(N+1-k)
+        assert np.abs(zero + zero[::-1] - 1.0).max() < 1e-12, n
+    assert coordinate_cdfs(3, 1.0, np.zeros((4, 5))).shape == (4, 5, 3)
+    # 1001 points at N = 32 take three blocks of points; one point per call takes one
+    s = np.linspace(-15.0, 15.0, 1001)
+    blocked = coordinate_cdfs(MAX_CDF_N, 1.0, s)
+    for k in range(0, s.size, 125):
+        assert np.abs(blocked[k] - coordinate_cdfs(MAX_CDF_N, 1.0, s[k])).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "n, t, s, message",
+    [
+        (0, 1.0, 0.0, "need 1 <= n"),
+        (MAX_CDF_N + 1, 1.0, 0.0, "need 1 <= n"),
+        (2, 0.0, 0.0, "t must be positive"),
+        (2, 1.0, [0.0, math.nan], "s must not be NaN"),
+    ],
+)
+def test_coordinate_cdfs_refusals(n, t, s, message):
+    with pytest.raises(ValueError, match=message):
+        coordinate_cdfs(n, t, s)
 
 
 # each transition density at a (k, m, N) batch of end points and one point at
@@ -666,6 +779,7 @@ NON_FINITE_CALLS = {
         lambda: terminal("finite-horizon", 2, 1.0, 4, 3, np.random.default_rng(0), horizon=INF),
         "horizon must be finite",
     ),
+    "cdfs t nan": (lambda: coordinate_cdfs(3, NAN, 0.0), "t must be finite"),
     "marginal horizon inf": (
         lambda: marginal_cdf_from_origin(2, 0.5, 0, kind="inhomogeneous", horizon=INF),
         "horizon must be finite",

@@ -27,6 +27,7 @@ commands = [
     ["count", "--start", "0,2", "--end", "0,2", "--steps", "4"],
     ["schur", "--shape", "2,1", "--points", "1,2,3"],
     ["lgv", "--graph", str(graph), "--sources", "0,0;2,0", "--sinks", "0,2;2,2"],
+    ["lgv", "--graph", str(graph), "--sources", "0,0;2,0", "--sinks", "0,2;2,2", "--check-compatibility"],
     ["tableau", "--to", "ssyt", "--in", str(walk)],
     ["sample-walk", "--start", "0,2", "--steps", "3", "--n", "5", "--out", str(work / "w.csv")],
     ["density", "--kind", "km", "--t", "1", "--x", "0,2", "--y", "0.5,1.5"],

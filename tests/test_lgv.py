@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -108,6 +109,60 @@ def test_check_compatibility():
     assert check_compatibility(g, [(0, 0)], [(1, 3)])  # vacuous for N=1
     crossed = PathGraph([("u1", "v2", 1), ("u2", "v1", 1)])
     assert not check_compatibility(crossed, ["u1", "u2"], ["v1", "v2"])
+    with pytest.raises(KeyError, match="unknown vertex"):
+        check_compatibility(g, [(0, 0), (2, 0)], [(-1, 3), (99, 3)])
+
+
+def _compatible_by_enumeration(g, sources, sinks):
+    for i, j in itertools.combinations(range(len(sources)), 2):
+        for p in enumerate_paths(g, sources[i], sinks[j]):
+            if any(set(p).isdisjoint(q) for q in enumerate_paths(g, sources[j], sinks[i])):
+                return False
+    return True
+
+
+def _random_dag(rng, size, density):
+    # vertex labels shuffled against the edge direction, so that neither
+    # the construction order nor the labels are a topological order
+    labels = rng.sample(range(100), size)
+    edges = [
+        (labels[a], labels[b], 1)
+        for a in range(size)
+        for b in range(a + 1, size)
+        if rng.random() < density
+    ]
+    return PathGraph(edges, vertices=rng.sample(labels, size))
+
+
+def test_check_compatibility_matches_enumeration():
+    import random
+
+    rng = random.Random(2024)
+    lattice = walk_graph(6, 0, 6)
+    early = [v for v in lattice.vertices if v[1] <= 2]
+    late = [v for v in lattice.vertices if v[1] >= 4]
+    outcomes = []
+    for _ in range(300):
+        sources, sinks = rng.sample(early, 3), rng.sample(late, 3)
+        expected = _compatible_by_enumeration(lattice, sources, sinks)
+        assert check_compatibility(lattice, sources, sinks) == expected, (sources, sinks)
+        outcomes.append(expected)
+    for _ in range(200):
+        g = _random_dag(rng, 9, 0.35)
+        n = rng.choice((2, 3))
+        sources, sinks = rng.sample(g.vertices, n), rng.sample(g.vertices, n)
+        expected = _compatible_by_enumeration(g, sources, sinks)
+        assert check_compatibility(g, sources, sinks) == expected, (g.to_json(), sources, sinks)
+        outcomes.append(expected)
+    assert 50 < sum(outcomes) < len(outcomes) - 50  # both answers are exercised
+
+
+def test_check_compatibility_has_no_cap():
+    # 2^16 paths per crossing pair: enumerating pairs of them would take
+    # 2^32 comparisons
+    g = walk_graph(16, 0, 16)
+    assert check_compatibility(g, [(0, 0), (4, 0)], [(0, 16), (4, 16)])
+    assert not check_compatibility(g, [(0, 0), (4, 0)], [(4, 16), (0, 16)])
 
 
 def test_enumeration_cap():

@@ -5,12 +5,11 @@ import pytest
 
 from noncollide.verify import (
     TestReport,
-    grid_cdf,
     ks_one_sample,
     ks_two_sample,
     quadrature_integrate,
 )
-from oracles import chi_square_counts
+from oracles import chi_square_counts, grid_cdf
 
 
 def test_ks_two_sample_identical():
