@@ -8,6 +8,7 @@ integer matrices stay integer all the way through.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +47,8 @@ def det_bareiss(matrix: Sequence[Sequence[ExactNumber]]) -> ExactNumber:
     for row in a:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
-    integral = all(isinstance(v, int) for row in a for v in row)
+    # isinstance(v, int) for every entry v, tested once per distinct type
+    integral = all(issubclass(t, int) for t in set(map(type, chain.from_iterable(a))))
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -127,10 +127,18 @@ class SSYT:
 
     @classmethod
     def from_json(cls, data: dict) -> "SSYT":
-        t = cls(data["rows"], data["max_entry"])
-        if list(t.shape.parts) != list(data["shape"]):
+        rows = [[_json_int(v, "rows") for v in row] for row in data["rows"]]
+        t = cls(rows, _json_int(data["max_entry"], "max_entry"))
+        if list(t.shape.parts) != [_json_int(v, "shape") for v in data["shape"]]:
             raise ValueError("shape field inconsistent with rows")
         return t
+
+
+def _json_int(value, field: str) -> int:
+    """value, if it is a JSON integer; int() would read 1.9 or true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{field}: {value!r} is not a JSON integer")
+    return value
 
 
 def canonical_start(n: int) -> tuple[int, ...]:
@@ -212,8 +220,9 @@ class WalkRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "WalkRecord":
-        w = cls(data["start"], data["steps"])
-        if w.horizon != data.get("horizon", w.horizon):
+        start = [_json_int(v, "start") for v in data["start"]]
+        w = cls(start, [[_json_int(v, "steps") for v in row] for row in data["steps"]])
+        if w.horizon != _json_int(data.get("horizon", w.horizon), "horizon"):
             raise ValueError("horizon field inconsistent with steps")
         return w
 

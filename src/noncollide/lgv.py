@@ -5,14 +5,16 @@ directed u -> v paths. For D-compatible source/sink sets, det[G(u_i, v_j)]
 equals the weighted count of nonintersecting path tuples; the cancellation
 argument behind that identity (swap the tails of the two lowest-indexed
 paths through the last intersection vertex) is exposed here as ``tail_swap``
-so it can be tested directly.
+so it can be tested directly. Green functions and the compatibility check
+walk the vertices in a topological order, found at construction by Kahn's
+algorithm: a vertex joins the order once every one of its predecessors has,
+and a vertex left over means a directed cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Hashable, Iterable, Sequence
 
 from ._exact import (
@@ -41,40 +43,34 @@ class PathGraph:
         order: Sequence[Vertex] | None = None,
     ):
         self._weights: dict[tuple[Vertex, Vertex], ExactNumber] = {}
-        self._succ: dict[Vertex, list[Vertex]] = {}
-        self._pred: dict[Vertex, list[Vertex]] = {}
-        seen: list[Vertex] = []
-
-        def touch(v: Vertex) -> None:
-            if v not in self._succ:
-                self._succ[v] = []
-                self._pred[v] = []
-                seen.append(v)
-
-        for v in vertices:
-            touch(v)
         for u, v, w in edges:
-            touch(u)
-            touch(v)
             if (u, v) in self._weights:
                 raise ValueError(f"duplicate edge {u} -> {v}")
             self._weights[(u, v)] = w
+        # the given vertices, then edge ends, in order of first appearance
+        self._succ: dict[Vertex, list[Vertex]] = {
+            v: [] for v in chain(vertices, chain.from_iterable(self._weights))
+        }
+        self._pred: dict[Vertex, list[Vertex]] = {v: [] for v in self._succ}
+        for u, v in self._weights:
             self._succ[u].append(v)
             self._pred[v].append(u)
 
-        if order is None:
-            order = seen
-        order = list(order)
-        if len(order) != len(seen) or set(order) != set(seen):
+        self._order = tuple(self._succ if order is None else order)
+        if len(self._order) != len(self._succ) or self._succ.keys() != set(self._order):
             raise ValueError("order must list every vertex exactly once")
-        self._rank = {v: i for i, v in enumerate(order)}
-        self._order = tuple(order)
+        self._rank = {v: i for i, v in enumerate(self._order)}
 
-        ts = TopologicalSorter({v: self._pred[v] for v in seen})
-        try:
-            self._topo = tuple(ts.static_order())
-        except CycleError as exc:
-            raise ValueError("graph contains a directed cycle") from exc
+        indegree = {v: len(p) for v, p in self._pred.items()}
+        topo = [v for v, d in indegree.items() if d == 0]
+        for v in topo:
+            for w in self._succ[v]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    topo.append(w)
+        if len(topo) != len(indegree):
+            raise ValueError("graph contains a directed cycle")
+        self._topo = tuple(topo)
         # per-source Green function vectors, filled lazily (read-mostly)
         self._green_cache: dict[Vertex, dict[Vertex, ExactNumber]] = {}
 
@@ -88,9 +84,6 @@ class PathGraph:
 
     def successors(self, v: Vertex) -> tuple[Vertex, ...]:
         return tuple(self._succ[v])
-
-    def weight(self, u: Vertex, v: Vertex) -> ExactNumber:
-        return self._weights[(u, v)]
 
     def has_vertex(self, v: Vertex) -> bool:
         return v in self._succ
@@ -114,15 +107,17 @@ class PathGraph:
     @classmethod
     def from_json(cls, data: dict) -> "PathGraph":
         vertices = [_vertex_load(v) for v in data["vertices"]]
-        order = [_vertex_load(v) for v in data.get("order", data["vertices"])]
-        edges = [
-            (
-                _vertex_load(e["from"]),
-                _vertex_load(e["to"]),
-                _weight_load(e.get("weight", 1)),
-            )
-            for e in data["edges"]
-        ]
+        known = set(vertices)
+        edges = []
+        for e in data["edges"]:
+            u, v = _vertex_load(e["from"]), _vertex_load(e["to"])
+            for end in (u, v):
+                if end not in known:
+                    raise ValueError(f'edge {u!r} -> {v!r}: vertex {end!r} is not in "vertices"')
+            edges.append((u, v, _weight_load(e.get("weight", 1))))
+        # to_json writes the order as the vertex list; load it once
+        order = data.get("order", data["vertices"])
+        order = vertices if order == data["vertices"] else [_vertex_load(v) for v in order]
         return cls(edges, vertices=vertices, order=order)
 
 
@@ -193,8 +188,8 @@ def green_function(g: PathGraph, u: Vertex, v: Vertex) -> ExactNumber:
             acc = table.get(w, 0)
             if acc == 0:
                 continue
-            for succ in g.successors(w):
-                table[succ] = table.get(succ, 0) + acc * g.weight(w, succ)
+            for succ in g._succ[w]:
+                table[succ] = table.get(succ, 0) + acc * g._weights[w, succ]
         g._green_cache[u] = table
     return table.get(v, 0)
 

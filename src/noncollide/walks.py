@@ -5,10 +5,13 @@ positions x and endpoints y is the binomial determinant
 det[ C(T, (T + x_i - y_j)/2) ]; entries with odd argument or an argument
 outside [0, T] are zero. Survivor counts with free endpoints are
 Stembridge's Pfaffian (SurvivalCounts), multilinear in one binomial row per
-walker. Rows with mixed step counts sum out the next moves of the walkers
-not yet moved, so an exact sampler of the law conditioned on no collision
-through time T draws each step walker by walker, N Pfaffians per step. The
-per-endpoint sum and rejection sampling are test oracles, in tests/oracles.py.
+walker. The discrete de Bruijn identity gives each Pfaffian entry as a
+signed sum of binomials over one walk of s_i + s_j steps, so the entries
+need no window of endpoints. Rows with mixed step counts sum out the next
+moves of the walkers not yet moved, so an exact sampler of the law
+conditioned on no collision through time T draws each step walker by
+walker, N Pfaffians per step. The per-endpoint sum and rejection sampling
+are test oracles, in tests/oracles.py.
 scaling_check takes the determinant in floating point from log ratios.
 """
 
@@ -81,14 +84,19 @@ class SurvivalCounts:
     whatever their endpoints. ``s`` is one step count for all walkers or a
     tuple with one count s_i per walker.
 
-    Stembridge's Pfaffian for nonintersecting paths with free endpoints:
-    with G_i(v) = C(s_i, (s_i + a_i - v)/2) the walks of s_i steps from a_i
-    to v, W = Pf Q where Q_ij = sum_{v<w} G_i(v) G_j(w) - G_i(w) G_j(v),
-    taken with prefix sums over one window of endpoints of common parity.
-    Odd N borders Q with each row's own total 2^(s_i). Since det Q = (Pf Q)^2
-    and W >= 0, W is the integer square root of a Bareiss determinant. The
-    sum of M_N(s, y | a) over endpoints (count_table in tests/oracles.py) is
-    the oracle.
+    Stembridge's Pfaffian for nonintersecting paths with free endpoints
+    (Stembridge, Adv. Math. 83 (1990) 96): with G_i(v) = C(s_i, (s_i + a_i
+    - v)/2) the walks of s_i steps from a_i to v, W = Pf Q where Q_ij =
+    sum_{v<w} G_i(v) G_j(w) - G_i(w) G_j(v). By the discrete de Bruijn
+    identity (de Bruijn, J. Indian Math. Soc. 19 (1955) 133) that entry is a
+    signed count over one walk of S = s_i + s_j steps, the difference of
+    the two walks: with g = |a_j - a_i|, Q_ij = sum of C(S, m) over
+    max(0, (S - g)/2) <= m <= min(S, (S + g)/2 - 1), with the sign of
+    a_j - a_i; the range is empty when g = 0 and all of 0..S when g > S.
+    Odd N borders Q with each row's own total 2^(s_i). Since det Q =
+    (Pf Q)^2 and W >= 0, W is the integer square root of a Bareiss
+    determinant. The sum of M_N(s, y | a) over endpoints (count_table in
+    tests/oracles.py) is the oracle.
 
     W is multilinear in the rows G_i and zero when two are equal, and the
     row of (a_i, s_i) is the sum of the rows of (a_i - 1, s_i - 1) and
@@ -102,16 +110,18 @@ class SurvivalCounts:
         parities = {(p + t) % 2 for p, t in zip(a, steps)}
         if len(steps) != len(a) or min(steps, default=0) < 0 or len(parities) > 1:
             raise ValueError(f"need s_i >= 0 per walker, all a_i + s_i of one parity: {a!r}, {s!r}")
-        # G_i(v) on the window v = base, base + 2, ..., the union of the walkers' reach
-        base = min((p - t for p, t in zip(a, steps)), default=0)
-        top = max((p + t for p, t in zip(a, steps)), default=0)
-        g = np.zeros((len(a), (top - base) // 2 + 1), dtype=object)
-        for gi, p, t in zip(g, a, steps):
-            first = (p - t - base) // 2
-            gi[first : first + t + 1] = [math.comb(t, k) for k in range(t + 1)]
-        d = (np.cumsum(g, axis=1) - g) @ g.T  # sum_{v<w} G_i(v) G_j(w), in ints
-        q = (d - d.T).tolist()
-        if len(a) % 2:
+        n = len(a)
+        q = [[0] * n for _ in range(n)]
+        partial: dict[int, list[int]] = {}  # S -> sum of C(S, m) over m < k, by k
+        for i, j in itertools.combinations(range(n), 2):
+            total, gap = steps[i] + steps[j], abs(a[j] - a[i])
+            sums = partial.get(total)
+            if sums is None:
+                row = (math.comb(total, m) for m in range(total + 1))
+                sums = partial[total] = [0, *itertools.accumulate(row)]
+            q_ij = sums[min(total + 1, (total + gap) // 2)] - sums[max(0, (total - gap) // 2)]
+            q[i][j], q[j][i] = (q_ij, -q_ij) if a[i] < a[j] else (-q_ij, q_ij)
+        if n % 2:
             q = [qi + [2**t] for qi, t in zip(q, steps)] + [[-(2**t) for t in steps] + [0]]
         det = det_bareiss(q)
         w = math.isqrt(det)

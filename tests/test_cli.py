@@ -146,6 +146,43 @@ def test_json_of_the_wrong_shape_is_refused(command, content, message, tmp_path,
     assert err.startswith(f"error: {path}: {message}")
 
 
+@pytest.mark.parametrize(
+    "to, content, message",
+    [
+        ("ssyt", {"start": [0, 2], "steps": [[1.9, 1], [1, 1]]}, "steps: 1.9 is not a JSON integer"),
+        ("ssyt", {"start": [0.0, 2], "steps": [[1, 1], [1, 1]]}, "start: 0.0 is not a JSON integer"),
+        ("ssyt", {"start": [0, 2], "steps": [[-1, 1], [1, 1]], "horizon": 2.0},
+         "horizon: 2.0 is not a JSON integer"),
+        ("ssyt", {"start": [0, 2], "steps": [[True, 1], [1, 1]]}, "steps: True is not a JSON integer"),
+        ("walk", {"rows": [[1.7]], "max_entry": 2, "shape": [1]}, "rows: 1.7 is not a JSON integer"),
+        ("walk", {"rows": [[1]], "max_entry": 2.5, "shape": [1]}, "max_entry: 2.5 is not a JSON integer"),
+        ("walk", {"rows": [[1]], "max_entry": 2, "shape": [1.0]}, "shape: 1.0 is not a JSON integer"),
+    ],
+)
+def test_tableau_refuses_numbers_that_are_not_integers(to, content, message, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    argv = ["tableau", "--to", to, "--in", str(path)]
+    if to == "walk":
+        argv += ["--n", "2", "--steps", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edge, vertex", [(("a", "c"), "c"), (("z", "b"), "z")])
+def test_lgv_names_an_edge_to_an_unlisted_vertex(edge, vertex, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(
+        {"vertices": ["a", "b"], "edges": [{"from": edge[0], "to": edge[1]}]}
+    ))
+    code, out, err = run_cli(
+        ["lgv", "--graph", str(path), "--sources", "a", "--sinks", "b"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: edge {edge[0]!r} -> {edge[1]!r}: vertex {vertex!r} is not in \"vertices\"\n"
+
+
 def test_lgv_compatibility_check_on_a_long_lattice(tmp_path, capsys):
     # 2^16 paths per crossing pair, past any enumeration of pairs of paths
     from noncollide import lgv

@@ -237,3 +237,31 @@ def test_path_tuple_sign():
     assert PathTuple((0, 1, 2), ((), (), ())).sign() == 1
     assert PathTuple((1, 0, 2), ((), (), ())).sign() == -1
     assert PathTuple((1, 2, 0), ((), (), ())).sign() == 1
+
+
+def test_graphs_built_out_of_topological_order():
+    import random
+
+    from noncollide.walks import count_vicious
+
+    rng = random.Random(18)
+    for _ in range(200):
+        g = _random_dag(rng, rng.randrange(1, 16), rng.random())
+        position = {v: k for k, v in enumerate(g._topo)}
+        assert len(g._topo) == len(position) and position.keys() == set(g.vertices)
+        for u in g.vertices:
+            assert all(position[u] < position[v] for v in g.successors(u)), g.to_json()
+    lattice = walk_graph(6, -2, 8)
+    edges = [(u, v, 1) for u in lattice.vertices for v in lattice.successors(u)]
+    for _ in range(30):
+        rng.shuffle(edges)
+        vertices = rng.sample(lattice.vertices, len(lattice.vertices))
+        g = PathGraph(edges, vertices=vertices, order=lattice.vertices)
+        n = rng.choice((1, 2, 3))
+        x = sorted(rng.sample(range(-2, 9, 2), n))
+        y = sorted(rng.sample(range(-2, 9, 2), n))
+        det = lgv_determinant(g, [(v, 0) for v in x], [(v, 6) for v in y])
+        assert det == count_vicious(x, y, 6), (x, y)
+    # a cycle behind a source and in front of a sink
+    with pytest.raises(ValueError, match="directed cycle"):
+        PathGraph([("s", "a", 1), ("a", "b", 1), ("b", "c", 1), ("c", "a", 1), ("c", "t", 1)])

@@ -64,3 +64,36 @@ def test_mixed_rows_refuse_mismatched_steps():
     for a, s in (((0, 2), (3,)), ((0, 2), (3, 2)), ((0, 2), (-1, -1))):
         with pytest.raises(ValueError, match="need s_i >= 0 per walker"):
             counts(a, s)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pfaffian_matches_endpoint_sum_past_every_reach(n):
+    """Gaps wider than s_i + s_j, where an entry is the whole 2^(s_i + s_j):
+    walkers that cannot meet all survive."""
+    counts = SurvivalCounts()
+    for gaps in itertools.product((2, 8, 20), repeat=n - 1):
+        start = tuple(itertools.accumulate((0, *gaps)))
+        for s in range(9):
+            total = count_table(start, s).total_count
+            assert counts(start, s) == total, (start, s)
+            if min(gaps) > 2 * s:
+                assert total == 2 ** (n * s), (start, s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mixed_rows_with_a_moved_walker_on_its_neighbour(n):
+    """Walkers two apart that step towards each other share a site (g = 0):
+    their rows are equal, so nothing survives, whatever the walkers not yet
+    moved do."""
+    counts = SurvivalCounts()
+    a = tuple(range(0, 2 * n, 2))
+    met = 0
+    for s in range(1, 8):
+        for k in range(2, n + 1):
+            for prefix in itertools.product((-1, 1), repeat=k):
+                moved = tuple(p + m for p, m in zip(a, prefix)) + a[k:]
+                if all(u < v for u, v in zip(moved, moved[1:])):
+                    continue
+                met += 1
+                assert counts(moved, (s - 1,) * k + (s,) * (n - k)) == 0, (moved, s)
+    assert met > 0
