@@ -183,14 +183,14 @@ def _cmd_schur(args, cfg: RunConfig) -> int:
 
 
 def _load_json(path: str, parse, what: str):
-    """parse(the JSON in the file at path, or on stdin for "-"); JSON of the
-    wrong shape, a number where a list belongs or an object where a vertex
-    does, raises ValueError naming the file."""
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
+    """parse(the JSON in the file at path, or on stdin for "-"); text that
+    is not JSON, or JSON of the wrong shape (a number where a list belongs
+    or an object where a vertex does), raises ValueError naming the file."""
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not JSON ({exc})") from None
     try:
         return parse(data)
     except TypeError as exc:

@@ -42,7 +42,11 @@ the grid is dt, 2 dt, ..., t_end, and the first state is drawn exactly
 (all particles coincide at t = 0); from x0, one chamber point or one per
 path, it is 0, dt, ..., t_end, starting with x0. ``trajectories`` stacks
 the states, ``terminal`` keeps the last one, and a ``SamplePath`` pairs a
-path with its grid times.
+path with its grid times. A grid step of the two SDEs (``_advance_batch``)
+draws one normal array of the state's shape, the noise of every path's
+full-step proposal, and then fresh normals only for the rows whose proposal
+left the chamber, one draw per round of halving; fixed-seed outputs depend
+on this order of draws.
 
 The matrix process from x0 starts at diag(x0): the eigenvalues of
 diag(x0) + H(t) are the h-transform from x0 (Dyson, J. Math. Phys. 3
@@ -222,26 +226,40 @@ def survival_asymptotic(t: float, x: ArrayLike) -> float:
 COND_LIMIT = 1e-6  # largest cond_1(A) * eps the erf Pfaffian may return at
 
 
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The index tables of ``_erf_pfaffian`` at N = n, which depend on n only:
+    the upper-triangle pairs (p, q) of the bordered size m = n + n % 2, their
+    incidence (pairs, m) with +1 at p and -1 at q, and for m > 2 the indices
+    (pairs, m - 2) of the minor left when p and q are struck out."""
+    m = n + n % 2
+    p, q = np.array(list(itertools.combinations(range(m), 2))).T
+    incidence = np.eye(m)[p] - np.eye(m)[q]
+    rest = None
+    if m > 2:
+        rest = np.array([[k for k in range(m) if k != i and k != j] for i, j in zip(p, q)])
+    return p, q, incidence, rest
+
+
 def _erf_pfaffian(
-    tau: np.ndarray, x: np.ndarray
+    tau: float | np.ndarray, x: np.ndarray, tables: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """de Bruijn's erf Pfaffian over a batch of chamber points.
 
-    For points x (paths, N) and times tau (paths,) returns log Pf A, the
-    A^-1 o E entries on the upper-triangle pairs (p, q), and the pair
-    incidence (pairs, N) with +1 at p and -1 at q: the drift
-    grad log Pf A is the product of the last two.
+    For points x (paths, N) and times tau, one per path or one for all,
+    returns log Pf A, the A^-1 o E entries on the upper-triangle pairs
+    (p, q), and the pair incidence (pairs, N) with +1 at p and -1 at q: the
+    drift grad log Pf A is the product of the last two. ``tables`` is
+    ``_pair_tables(N)``.
     """
     from scipy.special import erf
 
     paths, n = x.shape
+    p, q, incidence, rest = tables
     if n % 2:
         # the border of 1s is erf of the gap to a walker at +inf
         x = np.concatenate([x, np.full((paths, 1), np.inf)], axis=1)
     m = x.shape[1]
-    p, q = np.array(list(itertools.combinations(range(m), 2))).T
-    incidence = np.eye(m)[p] - np.eye(m)[q]
-    scale = 2.0 * np.sqrt(tau)[:, None]
+    scale = np.reshape(2.0 * np.sqrt(tau), (-1, 1))
     z = (x[:, q] - x[:, p]) / scale
     a = erf(z)
     e = (2.0 / math.sqrt(math.pi)) * np.exp(-z * z) / scale
@@ -255,7 +273,6 @@ def _erf_pfaffian(
         full = np.zeros((paths, m, m))
         full[:, p, q] = a
         full[:, q, p] = -a
-        rest = np.array([[k for k in range(m) if k != i and k != j] for i, j in zip(p, q)])
         log_pf = 0.5 * np.linalg.slogdet(full)[1]
         log_minor = 0.5 * np.linalg.slogdet(full[:, rest[:, :, None], rest[:, None, :]])[1]
         inv = np.where((p + q) % 2, -1.0, 1.0) * np.exp(log_minor - log_pf[:, None])
@@ -265,8 +282,9 @@ def _erf_pfaffian(
         estimate = cond * np.finfo(float).eps
         worst = int(np.argmax(estimate))
         if not estimate[worst] <= COND_LIMIT:
+            tau_worst = float(np.broadcast_to(tau, (paths,))[worst])
             raise ValueError(
-                f"erf Pfaffian for N={n} at tau={float(tau[worst])!r} cancels: "
+                f"erf Pfaffian for N={n} at tau={tau_worst!r} cancels: "
                 f"cond_1(A) * eps = {float(estimate[worst]):.3g} exceeds {COND_LIMIT:g}"
             )
     return log_pf, inv * e, incidence[:, :n]
@@ -311,7 +329,7 @@ def _log_survival(tau: float, y: np.ndarray) -> float | np.ndarray:
     if tau == 0:
         return 0.0
     rows = y.reshape(-1, y.shape[-1])
-    return _erf_pfaffian(np.full(len(rows), tau), rows)[0].reshape(y.shape[:-1])
+    return _erf_pfaffian(tau, rows, _pair_tables(rows.shape[1]))[0].reshape(y.shape[:-1])
 
 
 def transition_inhomogeneous(
@@ -437,7 +455,7 @@ def drift_inhomogeneous(t: float, x: ArrayLike, horizon: float) -> np.ndarray:
     x = _as_point(x)
     if t >= horizon:
         raise ValueError("drift defined for t < T only")
-    return _inhomogeneous_drift_batch(horizon)(x[None, :], np.array([t]))[0]
+    return _inhomogeneous_drift_batch(horizon, x.size)(x[None, :], t)[0]
 
 
 @dataclass(frozen=True)
@@ -477,23 +495,25 @@ def _advance_batch(
     states: np.ndarray,
     t0: float,
     dt: float,
-    drift: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    drift: Callable[[np.ndarray, float | np.ndarray], np.ndarray],
     rng: np.random.Generator,
 ) -> None:
     """Advance every path by one grid step of size dt, in place.
 
-    The first proposal is the full step for every path. A proposed move
-    that breaks the strict ordering is retried with half the step (fresh
-    noise), and an accepted sub-step doubles the next one, capped by what
-    remains; sub-step bookkeeping is exact (integer dyadic units), so each
-    path consumes exactly dt.
+    The first proposal is the full step for every path, states + drift * dt
+    plus one normal draw of states.shape with scale sqrt(dt). A proposed
+    move that breaks the strict ordering is retried with half the step
+    (fresh noise, drawn for the halved rows only), and an accepted sub-step
+    doubles the next one, capped by what remains; sub-step bookkeeping is
+    exact (integer dyadic units), so each path consumes exactly dt.
     """
-    prop = states + drift(states, np.full(len(states), t0)) * dt
-    prop += math.sqrt(dt) * rng.standard_normal(states.shape)
-    ok = _ordered(prop)
-    if ok.all():
+    prop = drift(states, t0) * dt
+    prop += states
+    prop += rng.normal(0.0, math.sqrt(dt), states.shape)
+    if (prop[:, 1:] > prop[:, :-1]).all():  # the usual case: no path halves
         states[...] = prop
         return
+    ok = _ordered(prop)
     states[ok] = prop[ok]
     unit = dt / float(1 << MAX_HALVINGS)
     remaining = np.where(ok, np.int64(0), np.int64(1 << MAX_HALVINGS))
@@ -527,26 +547,30 @@ def _advance_batch(
 
 
 def _ordered(states: np.ndarray) -> np.ndarray:
-    """Whether each row of states (paths, N) is strictly increasing."""
-    return np.all(np.diff(states, axis=1) > 0, axis=1)
+    """Whether each row of states (paths, N) is strictly increasing; a row
+    holding NaN is not."""
+    return (states[:, 1:] > states[:, :-1]).all(axis=1)
 
 
-def dyson_drift(states: np.ndarray, _t: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise repulsion sum_{j != i} 1/(x_i - x_j), batched over rows."""
+def dyson_drift(states: np.ndarray, _t: float | np.ndarray | None = None) -> np.ndarray:
+    """Pairwise repulsion sum_{j != i} 1/(x_i - x_j), batched over rows
+    (paths, N) of distinct entries, as every caller passes them; a tied
+    pair makes both its entries infinite."""
     diff = states[:, :, None] - states[:, None, :]
-    with np.errstate(divide="ignore"):
-        inv = np.where(diff != 0.0, 1.0 / diff, 0.0)
-    return inv.sum(axis=2)
+    np.einsum("ijj->ij", diff)[...] = np.inf  # a writable view of the diagonal
+    return np.reciprocal(diff, out=diff).sum(axis=2)
 
 
 def _inhomogeneous_drift_batch(
-    horizon: float,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Batched finite-horizon drift grad log N_N(T - t, x)."""
+    horizon: float, n: int
+) -> Callable[[np.ndarray, float | np.ndarray], np.ndarray]:
+    """Batched finite-horizon drift grad log N_N(T - t, x) at N = n, at one
+    time t for all rows or one per row; the pair tables are built once."""
+    tables = _pair_tables(n)
 
-    def drift(states: np.ndarray, t_local: np.ndarray) -> np.ndarray:
+    def drift(states: np.ndarray, t_local: float | np.ndarray) -> np.ndarray:
         tau = np.maximum(horizon - t_local, 1e-300)
-        _, weights, incidence = _erf_pfaffian(tau, states)
+        _, weights, incidence = _erf_pfaffian(tau, states, tables)
         return weights @ incidence
 
     return drift
@@ -631,6 +655,11 @@ def grid_states(
     Hermitian matrix Brownian motion from diag(x0) or zero; with a
     ``horizon``, of the two-matrix model, from zero only). Bad arguments
     raise at the first state.
+
+    Each step of "dyson" and "finite-horizon" is one ``_advance_batch``
+    call: one normal draw of the state's shape, then draws for halved rows
+    only (module docstring). From the origin the first state takes the
+    matrix process's draws instead.
     """
     if process not in _PROCESSES:
         raise ValueError(f"unknown process {process!r}; known: {list(_PROCESSES)}")
@@ -659,7 +688,7 @@ def grid_states(
     elif horizon is None:
         raise ValueError("the finite-horizon process needs a horizon")
     else:
-        drift = _inhomogeneous_drift_batch(horizon)
+        drift = _inhomogeneous_drift_batch(horizon, n)
     first_step = 0
     if states is None:
         # exact at dt: the h^2 law of GUE eigenvalues, or the two-matrix law

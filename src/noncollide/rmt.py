@@ -165,17 +165,21 @@ class DriftQVReport:
         return {
             "slope": self.slope,
             "intercept": self.intercept,
-            "slope_ci95": [self.slope - 1.96 * self.slope_se,
-                           self.slope + 1.96 * self.slope_se],
-            "intercept_ci95": [self.intercept - 1.96 * self.intercept_se,
-                               self.intercept + 1.96 * self.intercept_se],
+            "slope_ci95": _ci95(self.slope, self.slope_se),
+            "intercept_ci95": _ci95(self.intercept, self.intercept_se),
             "qv_per_time": self.qv_per_time,
-            "qv_ci95": [self.qv_per_time - 1.96 * self.qv_se,
-                        self.qv_per_time + 1.96 * self.qv_se],
+            "qv_ci95": _ci95(self.qv_per_time, self.qv_se),
             "n_points": self.n_points,
             "dt": self.dt,
             "gap_floor": self.gap_floor,
         }
+
+
+def _ci95(center: float, se: float) -> list[float | None]:
+    """center -/+ 1.96 se, with None (JSON null) for a bound that is not
+    finite: one particle gives no predictor spread, so slope_se = inf."""
+    bounds = (center - 1.96 * se, center + 1.96 * se)
+    return [b if math.isfinite(b) else None for b in bounds]
 
 
 class _DriftQVAccumulator:

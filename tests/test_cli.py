@@ -1,6 +1,7 @@
 import argparse
 import decimal
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -181,6 +182,26 @@ def test_lgv_names_an_edge_to_an_unlisted_vertex(edge, vertex, tmp_path, capsys)
     )
     assert code == 1 and out == ""
     assert err == f"error: edge {edge[0]!r} -> {edge[1]!r}: vertex {vertex!r} is not in \"vertices\"\n"
+
+
+@pytest.mark.parametrize("text", ["", "not json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["lgv", "--graph", "{}", "--sources", "a", "--sinks", "b"], ["tableau", "--to", "ssyt", "--in", "{}"]],
+)
+def test_a_file_that_is_not_json_is_named(argv, text, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run_cli([a.format(path) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: not JSON (Expecting value: line 1 column 1 (char 0))\n"
+
+
+def test_stdin_that_is_not_json_is_named(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
+    code, out, err = run_cli(["tableau", "--to", "ssyt", "--in", "-"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: -: not JSON (Expecting value: line 1 column 1 (char 0))\n"
 
 
 def test_lgv_compatibility_check_on_a_long_lattice(tmp_path, capsys):
@@ -604,6 +625,28 @@ def test_verify_sde_refuses_a_nonuniform_grid(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and "uniform time grid" in err
     assert not out.exists()
+
+
+def test_verify_sde_on_one_walker_writes_json(tmp_path, capsys):
+    # one walker gives no drift spread, so the slope interval is unbounded;
+    # JSON has no Infinity, so both bounds are null
+    paths = tmp_path / "one.csv"
+    code, _, err = run_cli(
+        ["simulate-matrix", "--n", "1", "--t", "1", "--steps", "50", "--paths", "4",
+         "--out", str(paths)],
+        capsys,
+    )
+    assert code == 0, err
+    code, out, err = run_cli(["verify-sde", "--in", str(paths), "--gamma-steps", "10"], capsys)
+    assert code == 0, err
+
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["slope"] == 0.0 and payload["slope_ci95"] == [None, None]
+    for key in ("intercept_ci95", "qv_ci95"):
+        assert all(math.isfinite(bound) for bound in payload[key])
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -922,3 +922,75 @@ def test_halving_outputs_are_pinned(process, x0, horizon, paths, seed, digest, m
     states = terminal(process, 3, 1.0, 20, paths, np.random.default_rng(seed), x0=x0, horizon=horizon)
     assert calls[0] > 20  # some grid step was halved
     assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+
+# sha256 of trajectories on grids where no step halves, recorded while each
+# full-step proposal was still built from out-of-place sums: a from-origin
+# start at N = 2, 5, 8, a Dyson chamber start at N = 4, 6 and a
+# finite-horizon chamber start at N = 2, 4
+FAST_PATH_PINNED = [
+    ("dyson", 2, None, None, 1.0, 10, 8, 1,
+     "699e8e11577320843078b62bdd190f6f7b2531b4e92bb0e7a4a4bcfc5fa2e21b"),
+    ("dyson", 5, None, None, 1.0, 8, 4, 131,
+     "6edb63d79144399c6cfaf488b4f51a2f9a37a46dc29a68555e20d3b64f5c65dc"),
+    ("dyson", 8, None, None, 1.0, 4, 2, 172,
+     "11dec28c2ff44635378672e3f26701bef7556338466e7955b4e79761c6d4b3b5"),
+    ("dyson", 4, (0.0, 1.0, 2.0, 3.0), None, 0.5, 50, 16, 3,
+     "4793daa796c3216ce8156d367612fa1f0186a7659d5577f78d0659d9cc28ace9"),
+    ("dyson", 6, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), None, 0.5, 50, 16, 1,
+     "c1e4f223330714b66e9ddc02a5e9e33c4a74d96f56c076416b5f7bb5241b5cf2"),
+    ("finite-horizon", 2, (0.0, 1.0), 2.0, 0.5, 50, 16, 2,
+     "f26d25deca1393e11551377be3f6048c8dbf0843abf27dcbcb6fa11a6e108171"),
+    ("finite-horizon", 4, (0.0, 1.0, 2.0, 3.0), 2.0, 0.5, 50, 16, 3,
+     "fb41fef2a626d61632ecc9a15d48c549e6ea2c69140a695f6b9505b177f65a1f"),
+]
+
+
+@pytest.mark.parametrize(
+    "process, n, x0, horizon, t_end, steps, paths, seed, digest", FAST_PATH_PINNED
+)
+def test_full_step_outputs_are_pinned(
+    process, n, x0, horizon, t_end, steps, paths, seed, digest, monkeypatch
+):
+    from noncollide import diffusion
+
+    drift_calls, advances = [0], [0]
+    advance = diffusion._advance_batch
+
+    def counting_advance(states, t0, dt, drift, rng):
+        def counted(*args):
+            drift_calls[0] += 1
+            return drift(*args)
+
+        advances[0] += 1
+        advance(states, t0, dt, counted, rng)
+
+    monkeypatch.setattr(diffusion, "_advance_batch", counting_advance)
+    rng = np.random.default_rng(seed)
+    states = trajectories(process, n, t_end, steps, paths, rng, x0=x0, horizon=horizon)
+    assert advances[0] == steps - (x0 is None)  # the first state from the origin is exact
+    assert drift_calls[0] == advances[0]  # no step halved
+    assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dyson_drift_is_the_masked_reciprocal_sum(n):
+    # bit for bit the row sums of 1/(x_i - x_j) with 0 on the diagonal, on
+    # random strictly ordered rows; numpy's row sum changes scheme at n >= 8
+    rng = np.random.default_rng(100 + n)
+    states = np.sort(rng.standard_normal((300, n)) * rng.uniform(0.01, 10.0, (300, 1)), axis=1)
+    assert (states[:, 1:] > states[:, :-1]).all()
+    diff = states[:, :, None] - states[:, None, :]
+    with np.errstate(divide="ignore"):
+        expected = np.where(diff != 0.0, 1.0 / diff, 0.0).sum(axis=2)
+    assert dyson_drift(states).tobytes() == expected.tobytes()
+
+
+def test_dyson_drift_on_a_tied_pair_is_infinite():
+    # the masked sum dropped a tied pair silently; now both tied walkers get
+    # +inf, with numpy's divide-by-zero warning. Every caller passes rows of
+    # distinct entries
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        drift = dyson_drift(np.array([[0.0, 1.0, 1.0, 3.0]]))
+    assert drift[0, 1] == drift[0, 2] == math.inf
+    assert drift[0, [0, 3]].tolist() == pytest.approx([-7.0 / 3.0, 4.0 / 3.0], rel=1e-15)
