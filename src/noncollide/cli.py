@@ -147,6 +147,8 @@ def _cmd_count(args, cfg: RunConfig) -> int:
     end = _ints(args.end)
     if len(start) != len(end):
         raise ValueError("start and end must list the same number of walkers")
+    if args.steps < 0:
+        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     for i, (a, b) in enumerate(zip(start, end)):
         if (args.steps + a - b) % 2 != 0:
             raise ValueError(
@@ -184,8 +186,8 @@ def _cmd_schur(args, cfg: RunConfig) -> int:
 
 def _load_json(path: str, parse, what: str):
     """parse(the JSON in the file at path, or on stdin for "-"); text that
-    is not JSON, or JSON of the wrong shape (a number where a list belongs
-    or an object where a vertex does), raises ValueError naming the file."""
+    is not JSON, or JSON of the wrong shape (a number where a list belongs,
+    an object where a vertex does, a missing key), raises ValueError naming the file."""
     with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -193,8 +195,9 @@ def _load_json(path: str, parse, what: str):
             raise ValueError(f"{path}: not JSON ({exc})") from None
     try:
         return parse(data)
-    except TypeError as exc:
-        raise ValueError(f"{path}: not a {what} ({exc})") from None
+    except (TypeError, KeyError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: not a {what} ({detail})") from None
 
 
 def _cmd_tableau(args, cfg: RunConfig) -> int:

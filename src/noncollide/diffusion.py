@@ -16,8 +16,8 @@ The three transition densities take a batch of end points y (..., N) and
 are exactly 0 off the open chamber, where h_N(y) is not positive. They are
 evaluated in log space and exponentiated at the API boundary; the power
 t^(-N^2/2) and the squared Vandermonde factor underflow quickly otherwise.
-``coordinate_cdfs`` gives the law of each ordered coordinate of the
-h-transform from the origin, exactly, through Andreief's identity.
+``coordinate_cdfs`` gives the exact law of each ordered coordinate of the
+h-transform from the origin: Andreief's identity, closed-form Gram matrix.
 
 Survival and the finite-horizon drift take one route, de Bruijn's Pfaffian
 (de Bruijn 1955):
@@ -103,6 +103,13 @@ def _finite(**named: float | None) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _positive_time(t: float) -> None:
+    """Refuse a time t that is not finite and positive."""
+    _finite(t=t)
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t!r}")
+
+
 def _as_point(x: ArrayLike) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -169,19 +176,19 @@ def _log_km(t: float, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return log_scale - np.add.reduce(row_min, axis=-1) + _log_positive(det)
 
 
-def _log_from_origin(v: np.ndarray, t: float, log_c: float, log_h: np.ndarray, p: float):
+def _log_from_origin(v: np.ndarray, t: float, log_h: np.ndarray, p: int):
     """log of c t^(-N^2/2) exp(-|v|^2/2t) h_N(v)^p, the from-origin factor of
-    both processes."""
+    both processes, c = (2 pi^(p-1))^(-N/2) / prod_{i<=N} Gamma(ip/2): c'_N at
+    p = 2, c_N at p = 1. A sum of lgammas, as the Gamma product overflows."""
     n = v.shape[-1]
-    log_c -= 0.5 * n * n * math.log(t)
+    log_c = -0.5 * n * (math.log(2.0 * math.pi ** (p - 1)) + math.log(t) * n)
+    log_c -= sum(math.lgamma(i * p / 2.0) for i in range(1, n + 1))
     return log_c - np.add.reduce(v * v, axis=-1) / (2.0 * t) + p * log_h
 
 
 def km_density(t: float, x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
     """Absorbing-chamber transition density f_N at the end points y (..., N)."""
-    _finite(t=t)
-    if t <= 0:
-        raise ValueError("time must be positive")
+    _positive_time(t)
     x = _as_point(x)
     return _on_chamber(y, x.size, lambda v, _: _log_km(t, x, v))
 
@@ -199,9 +206,7 @@ def survival(t: float, x: ArrayLike) -> float:
 def survival_quadrature(t: float, x: ArrayLike, tol: float = 1e-7) -> float:
     """Test oracle for ``survival`` at N <= 3: adaptive quadrature of f_N
     over the chamber, absolute error below tol."""
-    _finite(t=t)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    _positive_time(t)
     x = _as_point(x)
     width = 10.0 * math.sqrt(t)
     return quadrature_integrate(
@@ -216,9 +221,7 @@ def survival_quadrature(t: float, x: ArrayLike, tol: float = 1e-7) -> float:
 def survival_asymptotic(t: float, x: ArrayLike) -> float:
     """Test oracle for ``survival`` at small x / sqrt(t): h_N(x / sqrt(t)) /
     c_bar_N, the leading term as the gaps shrink."""
-    _finite(t=t)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    _positive_time(t)
     x = _as_point(x)
     return vandermonde_h(x / math.sqrt(t)) / chamber_constants(x.size).c_bar
 
@@ -302,9 +305,7 @@ def survival_mc(
     ordered proposals times the determinant/product likelihood ratio is an
     unbiased estimator of the chamber integral.
     """
-    _finite(t=t)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    _positive_time(t)
     if rng is None:
         raise ValueError("montecarlo survival needs an explicit generator")
     x = _as_point(x)
@@ -355,9 +356,8 @@ def transition_inhomogeneous(
             raise ValueError("origin state allowed only at s = 0")
 
         def log_g(v: np.ndarray, log_h: np.ndarray) -> np.ndarray:
-            n = v.shape[-1]
-            log_c = math.log(chamber_constants(n).c) + n * (n - 1) / 4 * math.log(horizon)
-            return _log_from_origin(v, t, log_c, log_h, 1.0) + _log_survival(horizon - t, v)
+            log_horizon = v.shape[-1] * (v.shape[-1] - 1) / 4 * math.log(horizon)
+            return log_horizon + _log_from_origin(v, t, log_h, 1) + _log_survival(horizon - t, v)
 
         return _on_chamber(y, None, log_g)
     x = _as_point(x)
@@ -385,19 +385,13 @@ def transition_homogeneous(
     if _is_origin(x):
         if s != 0:
             raise ValueError("origin state allowed only at s = 0")
-
-        def log_p(v: np.ndarray, log_h: np.ndarray) -> np.ndarray:
-            log_c = math.log(chamber_constants(v.shape[-1]).c_prime)
-            return _log_from_origin(v, t, log_c, log_h, 2.0)
-
-        return _on_chamber(y, None, log_p)
+        return _on_chamber(y, None, lambda v, log_h: _log_from_origin(v, t, log_h, 2))
     x = _as_point(x)
     log_hx = log_vandermonde_h(x)
     return _on_chamber(y, x.size, lambda v, log_h: _log_km(t - s, x, v) + log_h - log_hx)
 
 
 MAX_CDF_N = 32  # the largest N at which the tests check coordinate_cdfs
-CDF_BLOCK_VALUES = 2_000_000  # Hermite-function values held per block of points
 
 
 def coordinate_cdfs(n: int, t: float, s: ArrayLike) -> np.ndarray:
@@ -410,34 +404,33 @@ def coordinate_cdfs(n: int, t: float, s: ArrayLike) -> np.ndarray:
     the Gram matrix G_ij = int_{-inf}^{s/sqrt(t)} psi_i psi_j of the
     orthonormal Hermite functions psi_0, ..., psi_(n-1) (Tracy and Widom,
     J. Stat. Phys. 92 (1998) 809), and P(y_(k) <= s) = P(count >= k).
-    G is integrated by Gauss-Legendre on [lo, s/sqrt(t)], lo = -(2 sqrt(n) + 7)
-    lying 7 past the last turning point of psi_(n-1), with 60 + 3n nodes.
+    In closed form at u = s/sqrt(t), G_00 = Phi(u), G_(k+1)(k+1) = G_kk -
+    psi_k psi_(k+1) / sqrt(k + 1) and G_ij = (sqrt(j) psi_i psi_(j-1) - sqrt(i)
+    psi_(i-1) psi_j) / (i - j) for i != j, which is (psi_i psi_j' - psi_i' psi_j)
+    / (i - j). All points are done at once: memory grows as points * n^2 floats.
     """
-    _finite(t=t)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    _positive_time(t)
     if not 1 <= n <= MAX_CDF_N:
         raise ValueError(f"need 1 <= n <= {MAX_CDF_N}, got n = {n}")
     s = np.asarray(s, dtype=float)
     if np.isnan(s).any():
         raise ValueError("s must not be NaN")
-    lo = -(2.0 * math.sqrt(n) + 7.0)
-    nodes, weights = np.polynomial.legendre.leggauss(60 + 3 * n)
-    u = np.clip(s.ravel() / math.sqrt(t), lo, -lo)
-    lam = np.empty((u.size, n))
-    block = max(1, CDF_BLOCK_VALUES // (nodes.size * n))
-    for a in range(0, u.size, block):
-        half = (u[a : a + block, None] - lo) / 2.0
-        x = lo + half * (nodes + 1.0)
-        # x psi_k = sqrt(k + 1) psi_(k+1) + sqrt(k) psi_(k-1)
-        psi = [np.exp(-x * x / 4.0) / (2.0 * math.pi) ** 0.25]
-        for k in range(n - 1):
-            below = math.sqrt(k) * psi[k - 1] if k else 0.0
-            psi.append((x * psi[k] - below) / math.sqrt(k + 1))
-        psi = np.stack(psi, axis=-1)
-        gram = np.swapaxes(psi, 1, 2) @ ((half * weights)[..., None] * psi)
-        lam[a : a + block] = np.linalg.eigvalsh(gram)
-    lam = np.clip(lam, 0.0, 1.0)
+    from scipy.special import ndtr
+
+    u = np.clip(s.ravel() / math.sqrt(t), -60.0, 60.0)  # psi_k(+-60) underflows to 0
+    root = np.sqrt(np.arange(n))
+    # u psi_k = sqrt(k + 1) psi_(k+1) + sqrt(k) psi_(k-1), from psi_(-1) = 0
+    psi = [np.zeros_like(u), np.exp(-u * u / 4.0) / (2.0 * math.pi) ** 0.25]
+    for k in range(1, n):
+        psi.append((u * psi[-1] - root[k - 1] * psi[-2]) / root[k])
+    psi = np.stack(psi, axis=-1)  # psi_(-1), psi_0, ..., psi_(n-1)
+    gram = psi[:, 1:, None] * (root * psi[:, :-1])[:, None, :]  # sqrt(j) psi_i psi_(j-1)
+    gram -= np.swapaxes(gram, 1, 2)  # numpy buffers the overlapping operand
+    gram /= np.arange(n)[:, None] - np.arange(n) + np.eye(n)  # i - j; the diagonal is next
+    gram[:, 0, 0] = ndtr(u)
+    for k in range(n - 1):
+        gram[:, k + 1, k + 1] = gram[:, k, k] - psi[:, k + 1] * psi[:, k + 2] / root[k + 1]
+    lam = np.clip(np.linalg.eigvalsh(gram), 0.0, 1.0)
     law = np.zeros((u.size, n + 1))  # P(count = j), one Bernoulli factor at a time
     law[:, 0] = 1.0
     for k in range(n):
@@ -471,6 +464,9 @@ class SamplePath:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or times.ndim != 1 or states.shape[0] != times.size:
             raise ValueError("states must be (len(times), N)")
+        for name, value in (("times", times), ("states", states)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if states.shape[1] > 1 and np.any(np.diff(states, axis=1) <= 0):

@@ -35,6 +35,12 @@ def test_count_parity_error(capsys):
     assert out == ""
 
 
+def test_count_refuses_negative_steps(capsys):
+    code, out, err = run_cli(["count", "--start", "0", "--end", "0", "--steps", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: --steps must be nonnegative, got -1\n"
+
+
 def test_schur_methods(capsys):
     code, out, _ = run_cli(
         ["schur", "--shape", "2,1", "--points", "1,1,1", "--method", "principal"],
@@ -195,6 +201,23 @@ def test_a_file_that_is_not_json_is_named(argv, text, tmp_path, capsys):
     code, out, err = run_cli([a.format(path) for a in argv], capsys)
     assert code == 1 and out == ""
     assert err == f"error: {path}: not JSON (Expecting value: line 1 column 1 (char 0))\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content, what, key",
+    [
+        (["lgv", "--graph", "{}", "--sources", "a", "--sinks", "a"], {"vertices": ["a"]},
+         "path graph", "edges"),
+        (["tableau", "--to", "walk", "--in", "{}", "--n", "2", "--steps", "2"],
+         {"rows": [[1]], "shape": [1]}, "tableau", "max_entry"),
+    ],
+)
+def test_a_missing_key_is_named_with_the_file(argv, content, what, key, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli([a.format(path) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: not a {what} (missing key {key!r})\n"
 
 
 def test_stdin_that_is_not_json_is_named(monkeypatch, capsys):
@@ -647,6 +670,17 @@ def test_verify_sde_on_one_walker_writes_json(tmp_path, capsys):
     assert payload["slope"] == 0.0 and payload["slope_ci95"] == [None, None]
     for key in ("intercept_ci95", "qv_ci95"):
         assert all(math.isfinite(bound) for bound in payload[key])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_sde_refuses_a_state_that_is_not_finite(value, tmp_path, capsys):
+    # the last row is the top walker of the last path at the last time
+    paths, lines = _paths_csv_lines(tmp_path, capsys)
+    pid, t, i, _ = lines[-1].split(",")
+    paths.write_text("".join(lines[:-1] + [f"{pid},{t},{i},{value}\n"]))
+    code, out, err = run_cli(["verify-sde", "--in", str(paths), "--gamma-steps", "10"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: states must be finite\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -42,6 +42,33 @@ def test_chamber_constants():
         chamber_constants(0)
 
 
+# the Gamma products of chamber_constants take c'_N to 0.0 from N = 28 and
+# c_N from N = 43; the densities must not depend on them
+@pytest.mark.parametrize("n, kind", [(30, "p"), (44, "g")])
+def test_from_origin_densities_past_the_gamma_product_underflow(n, kind):
+    import mpmath
+
+    y = np.linspace(-9.0, 9.0, n)  # gaps of 0.42 or more
+    with mpmath.workdps(30):
+        ym = [mpmath.mpf(float(v)) for v in y]
+        log_h = mpmath.fsum(mpmath.log(ym[j] - ym[i]) for i in range(n) for j in range(i + 1, n))
+        log_free = -mpmath.fsum(v * v for v in ym) / 2  # at t = 1
+        if kind == "p":  # c'_N = (2 pi)^(-N/2) / prod Gamma(i)
+            log_c = -n * mpmath.log(2 * mpmath.pi) / 2
+            log_c -= mpmath.fsum(mpmath.loggamma(i) for i in range(1, n + 1))
+            exact = float(log_c + log_free + 2 * log_h)
+        else:  # c_N = 2^(-N/2) / prod Gamma(i/2)
+            log_c = -n * mpmath.log(2) / 2
+            log_c -= mpmath.fsum(mpmath.loggamma(mpmath.mpf(i) / 2) for i in range(1, n + 1))
+            exact = float(log_c + log_free + log_h)
+    if kind == "p":
+        density = transition_homogeneous(0.0, None, 1.0, y)
+    else:  # horizon 1.01: T^(N(N-1)/4) times the survival over the last 0.01
+        density = transition_inhomogeneous(0.0, None, 1.0, y, 1.01)
+        exact += n * (n - 1) / 4 * math.log(1.01) + math.log(survival(0.01, y))
+    assert abs(math.log(density) - exact) < 1e-10
+
+
 def test_vandermonde_h():
     assert vandermonde_h([3.0]) == 1.0
     assert vandermonde_h([0.0, 2.0]) == 2.0
@@ -197,6 +224,20 @@ def test_sample_path_validation():
         SamplePath(np.array([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.5]]))
     with pytest.raises(ValueError):
         SamplePath(np.array([1.0, 1.0]), np.array([[0.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "times, states, name",
+    [
+        ([0.0, 1.0], [[0.0, 1.0], [0.5, math.nan]], "states"),
+        ([0.0, 1.0], [[0.0, 1.0], [0.5, math.inf]], "states"),
+        ([0.0, math.nan], [[0.0, 1.0], [0.5, 1.5]], "times"),
+        ([0.0, math.inf], [[0.0, 1.0], [0.5, 1.5]], "times"),
+    ],
+)
+def test_sample_path_refuses_values_that_are_not_finite(times, states, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SamplePath(np.array(times), np.array(states))
 
 
 def test_sample_from_origin_distribution():
@@ -676,7 +717,7 @@ def test_coordinate_cdfs_tails_and_reflection():
         # y -> -y keeps the law and sends y_(k) to -y_(N+1-k)
         assert np.abs(zero + zero[::-1] - 1.0).max() < 1e-12, n
     assert coordinate_cdfs(3, 1.0, np.zeros((4, 5))).shape == (4, 5, 3)
-    # 1001 points at N = 32 take three blocks of points; one point per call takes one
+    # one call on 1001 points at N = 32 against one call per point
     s = np.linspace(-15.0, 15.0, 1001)
     blocked = coordinate_cdfs(MAX_CDF_N, 1.0, s)
     for k in range(0, s.size, 125):
