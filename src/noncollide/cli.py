@@ -20,9 +20,9 @@ Importing this module loads numpy and the package only; scipy is imported
 on first use, by the commands that need it: ``density --kind g`` and
 ``--kind survival`` (de Bruijn's erf Pfaffian), ``simulate-inhomogeneous``
 (its drift is that Pfaffian), ``scaling-check`` (Pochhammer symbols) and the
-``verify`` suites that run a KS, quadrature or erf check. The
-lattice commands, ``density --kind km`` and ``p``, ``simulate-dyson``,
-``simulate-matrix`` and ``verify-sde`` never load it.
+``verify`` suites that run a KS or erf check. The lattice commands,
+``density --kind km`` and ``p``, ``simulate-dyson``, ``simulate-matrix``
+and ``verify-sde`` never load it.
 
 The parser is built once per process, on the first ``build_parser()`` call,
 and every later call and every ``run`` share it. Callers must not modify it.

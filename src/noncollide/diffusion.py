@@ -204,13 +204,15 @@ def survival(t: float, x: ArrayLike) -> float:
 
 
 def survival_quadrature(t: float, x: ArrayLike, tol: float = 1e-7) -> float:
-    """Test oracle for ``survival`` at N <= 3: adaptive quadrature of f_N
-    over the chamber, absolute error below tol."""
+    """Test oracle for ``survival`` at N <= 3: the batched Gauss-Legendre
+    rule of ``quadrature_integrate`` on f_N over the chamber cut 10 sqrt(t)
+    past x, with the 48- and 64-node values within tol (about 64^3 points
+    of 3 x 3 determinants at N = 3)."""
     _positive_time(t)
     x = _as_point(x)
     width = 10.0 * math.sqrt(t)
     return quadrature_integrate(
-        lambda *ys: math.exp(_log_km(t, x, np.array(ys))),
+        lambda y: km_density(t, x, y),
         float(x[0] - width),
         float(x[-1] + width),
         x.size,

@@ -52,9 +52,13 @@ def _mp_reference(tau, x):
     return float(surv), np.array(drift)
 
 
-def test_default_route_matches_quadrature_three_walkers():
-    x = [0.0, 1.0, 2.5]
-    assert abs(survival(0.8, x) - survival_quadrature(0.8, x)) < 1e-7
+@pytest.mark.parametrize(
+    "t, x",
+    [(0.8, (0.0, 1.0, 2.5)), (1.0, (0.0, 0.5, 1.3)), (2.0, (-1.0, 0.2, 0.4)), (0.5, (0.0, 1.0, 3.0))],
+    ids=["t0.8-x0,1,2.5", "t1-x0,0.5,1.3", "t2-x-1,0.2,0.4", "t0.5-x0,1,3"],
+)
+def test_default_route_matches_quadrature_three_walkers(t, x):
+    assert abs(survival(t, x) - survival_quadrature(t, x)) < 1e-7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

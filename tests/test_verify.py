@@ -68,7 +68,7 @@ def test_ks_one_sample_rejects_nonmonotone_cdf():
 
 def test_quadrature_gaussian():
     val = quadrature_integrate(
-        lambda y: math.exp(-y * y / 2) / math.sqrt(2 * math.pi), -8, 8, 1, tol=1e-8
+        lambda y: np.exp(-y[:, 0] ** 2 / 2) / math.sqrt(2 * math.pi), -8, 8, 1, tol=1e-8
     )
     assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -77,13 +77,28 @@ def test_quadrature_chamber_matches_survival():
     from noncollide.diffusion import km_density
 
     val = quadrature_integrate(
-        lambda a, b: km_density(1.0, [0.0, 2.0], [a, b]) if a < b else 0.0,
+        lambda y: km_density(1.0, [0.0, 2.0], y),
         -10.0,
         12.0,
         2,
         tol=1e-6,
     )
     assert val == pytest.approx(math.erf(1.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_quadrature_ordered_region_volume(ndim):
+    # the ordered region alone: a box past hi or a missing corner would
+    # change the volume (hi - lo)^n / n!
+    lo, hi = -0.5, 2.0
+    val = quadrature_integrate(lambda y: np.ones(len(y)), lo, hi, ndim)
+    assert val == pytest.approx((hi - lo) ** ndim / math.factorial(ndim), abs=1e-12)
+
+
+def test_quadrature_raises_when_the_two_rules_disagree():
+    # sqrt(y) is not smooth at 0: the 48- and 64-node values differ by about 5e-7
+    with pytest.raises(RuntimeError, match="did not converge"):
+        quadrature_integrate(lambda y: np.sqrt(y[:, 0]), 0.0, 1.0, 1, tol=1e-8)
 
 
 def test_quadrature_rejects_unsupported_dim():
