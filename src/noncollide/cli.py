@@ -7,7 +7,8 @@ byte-identical output. The simulate commands write one chunk of paths at a
 time, each path formatted as one text block; floats are written with
 ``repr``, so ``verify-sde`` reads back the exact values. Scalar commands
 print their value (exact integers and rationals in full decimal, never
-scientific notation); ``density --grid`` is one batched library call.
+scientific notation); ``density --grid`` is one batched library call,
+written one grid row at a time with each coordinate formatted once.
 
 The global flags are ``--seed``, ``--out`` and ``--format``, accepted before
 or after the subcommand; every command, ``verify`` included, writes to
@@ -315,9 +316,11 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 # the grid is count^2 points, held as (count^2, 2) float arrays several
-# times over and then as CSV text of about 50 bytes a row: at count 1000 (a
-# million rows) a run peaks near 400 MB; count 30,000 would take 14 GB for
-# the points alone
+# times over; its CSV, about 50 bytes a row, is written one grid row at a
+# time. At count 1000 (a million rows, 51 MB of CSV) a run peaked at 87 MiB
+# RSS for kind p from the origin and 156 MiB for kind g from a chamber point,
+# which loads scipy (Python 3.11, numpy 2.4); count 30,000 would take 14 GB
+# for the points alone
 GRID_COUNT_LIMIT = 1000
 
 
@@ -361,9 +364,15 @@ def _cmd_density(args, cfg: RunConfig) -> int:
     if not args.grid:
         _emit_value(cfg, repr(float(value)))
         return 0
-    rows = zip(y.reshape(-1, 2).tolist(), value.ravel().tolist())
-    text = "".join(f"{a!r},{b!r},{v!r}\n" for (a, b), v in rows)
-    _write_rows(cfg, ("y1", "y2", "value"), [text])
+    # row (i, j) is ys[i], ys[j], which meshgrid copies exactly, so each
+    # coordinate is formatted once; one text block per grid row
+    cells = [repr(v) + "," for v in ys.tolist()]
+
+    def blocks():
+        for a, row in zip(cells, value):
+            yield "".join([a + b + repr(v) + "\n" for b, v in zip(cells, row.tolist())])
+
+    _write_rows(cfg, ("y1", "y2", "value"), blocks())
     return 0
 
 

@@ -553,10 +553,37 @@ def _ordered(states: np.ndarray) -> np.ndarray:
 def dyson_drift(states: np.ndarray, _t: float | np.ndarray | None = None) -> np.ndarray:
     """Pairwise repulsion sum_{j != i} 1/(x_i - x_j), batched over rows
     (paths, N) of distinct entries, as every caller passes them; a tied
-    pair makes both its entries infinite."""
-    diff = states[:, :, None] - states[:, None, :]
-    np.einsum("ijj->ij", diff)[...] = np.inf  # a writable view of the diagonal
-    return np.reciprocal(diff, out=diff).sum(axis=2)
+    pair makes both its entries infinite. Returns C-ordered (paths, N) rows,
+    the same bits whatever the memory layout of ``states``."""
+    x = np.ascontiguousarray(states.T)
+    n = x.shape[0]
+    # terms[j, i] = x_i - x_j, one contiguous (N, paths) slab per j
+    terms = np.subtract(x[None, :, :], x[:, None, :], out=np.empty((n, n, x.shape[1])))
+    terms.reshape(n * n, x.shape[1])[:: n + 1] = np.inf  # a view of the diagonal
+    np.reciprocal(terms, out=terms)
+    return np.ascontiguousarray(_pairwise_sum(terms).T)
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """terms.sum(axis=0) in the order numpy's pairwise sum adds a contiguous
+    row of len(terms) >= 1 values: in sequence below 8, in 8 interleaved
+    partial sums up to 128 (the rest added after), halved at a multiple of
+    8 above. A reduction over a strided axis adds in sequence instead, so
+    fixing the order keeps results independent of memory layout."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if n < 8:  # in sequence, however numpy orders the reduction
+        return terms.sum(axis=0)
+    r = terms[:8]
+    full = n - n % 8
+    for k in range(8, full, 8):
+        r = r + terms[k : k + 8]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[full:]:
+        out += term
+    return out
 
 
 def _inhomogeneous_drift_batch(

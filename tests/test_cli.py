@@ -842,6 +842,40 @@ def test_density_grid_matches_one_point_requests(name, tmp_path, capsys):
         assert float(value) == pytest.approx(float(text), rel=1e-14)
 
 
+# sha256 of grid CSVs written when the whole grid was formatted as one
+# string, with repr of both coordinates on every row
+PINNED_GRIDS = [
+    (GRID_REQUESTS["km"], "-2.5:2.7:20",
+     "b0e3609fc50f1ee4060b2a583913fe1edde9fb55e1b8dcddd4ec18489f88e4ea"),
+    (GRID_REQUESTS["p origin"], "-2.5:2.7:20",
+     "2259cc8865f951e57a3f459e5690d3cf9e1d6707cbde14b367c5ce0b4995e517"),
+    (GRID_REQUESTS["p chamber"], "-2.5:2.7:20",
+     "206bb04ce3bf0c1fa75d66e88e94798b89dc9d665becd11067a54fd565282028"),
+    (GRID_REQUESTS["g origin"], "-2.5:2.7:20",
+     "2a33ec444b804239c5aa01a984bf6c2dc3d3de1576b10f946972afdacc98edf7"),
+    (GRID_REQUESTS["g chamber"], "-2.5:2.7:20",
+     "25a5d8cbcc6fef7183ae2a2d4401d61833a74e411793518eb280e5de0f7fd0ca"),
+    # the edge counts: the header alone, and one point
+    (GRID_REQUESTS["p origin"], "-1:1:0",
+     "135be3c0d7f8287f63c66b70186e7325f534ecee72ef9d5bf0487a8816221540"),
+    (GRID_REQUESTS["p origin"], "-1:1:1",
+     "f7e16aad4c3efdf4dbb0b78ba17eedfa8117253c0dd916f81fa2004ab56cefbb"),
+    # linspace turns lo = -0.0 into 0.0, and keeps hi = -0.0 as the last point
+    (GRID_REQUESTS["km"], "-0.0:1.5:9",
+     "08b3929636acd28ebd202824f21648587bf25ff57da110375366939d6a8ec66e"),
+    (GRID_REQUESTS["km"], "-1:-0.0:3",
+     "25584c65cec807e8d969487e36a63958514cad8af34b1a4b86115e79a84d5cc9"),
+]
+
+
+@pytest.mark.parametrize("flags, grid, digest", PINNED_GRIDS)
+def test_density_grid_csv_is_pinned(flags, grid, digest, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    code, _, err = run_cli(["density", *flags, "--grid", grid, "--out", str(out)], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_density_grid_is_one_library_call(tmp_path, monkeypatch, capsys):
     from noncollide import diffusion
 

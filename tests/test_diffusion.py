@@ -1027,6 +1027,25 @@ def test_dyson_drift_is_the_masked_reciprocal_sum(n):
     assert dyson_drift(states).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 129])
+def test_dyson_drift_bits_do_not_depend_on_memory_layout(n):
+    # a reduction over a strided axis adds in sequence where a contiguous
+    # row sum adds pairwise (n >= 8); the drift of F-ordered rows (chamber
+    # starts) and of strided views must not depend on which one runs
+    rng = np.random.default_rng(200 + n)
+    states = np.sort(rng.standard_normal((300, n)) * rng.uniform(0.01, 10.0, (300, 1)), axis=1)
+    diff = states[:, :, None] - states[:, None, :]
+    with np.errstate(divide="ignore"):
+        expected = np.where(diff != 0.0, 1.0 / diff, 0.0).sum(axis=2)
+    padded = np.zeros((600, 3 * n))
+    padded[::2, 1::3] = states
+    for layout in (states, np.asfortranarray(states), padded[::2, 1::3]):
+        assert np.array_equal(layout, states)
+        drift = dyson_drift(layout)
+        assert drift.tobytes() == expected.tobytes()
+        assert drift.flags.c_contiguous and drift.shape == states.shape
+
+
 def test_dyson_drift_on_a_tied_pair_is_infinite():
     # the masked sum dropped a tied pair silently; now both tied walkers get
     # +inf, with numpy's divide-by-zero warning. Every caller passes rows of
