@@ -616,7 +616,9 @@ def run(argv: Sequence[str]) -> int:
     try:
         return args.func(args, cfg)
     except (ValueError, KeyError, NotRealizableError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

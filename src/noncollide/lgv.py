@@ -9,12 +9,18 @@ so it can be tested directly. Green functions and the compatibility check
 walk the vertices in a topological order, found at construction by Kahn's
 algorithm: a vertex joins the order once every one of its predecessors has,
 and a vertex left over means a directed cycle.
+
+A ``PathGraph`` holds its structure by integer vertex index, and the
+searches and Green function rows run over indices. Vertices are often
+tuples such as the walk graph's (x, t), and Python does not cache a tuple's
+hash, so a table keyed by vertex pairs would rehash two nested tuples on
+every lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Sequence
 
 from ._exact import (
@@ -34,6 +40,13 @@ class PathGraph:
     The ordering (``order``) is part of the structure: the involution needs a
     deterministic "last vertex of intersection". If no order is supplied,
     construction order is used.
+
+    The structure is held by vertex index (first appearance among the given
+    vertices, then the edge ends): edge weights keyed by index pairs,
+    successor lists of (index, weight) and predecessor lists of indices.
+    Vertices are often tuples, and a tuple does not cache its hash, so a
+    table keyed by vertex pairs would rehash two nested tuples on every
+    lookup; each vertex is hashed once here, when it is given an index.
     """
 
     def __init__(
@@ -42,37 +55,59 @@ class PathGraph:
         vertices: Iterable[Vertex] = (),
         order: Sequence[Vertex] | None = None,
     ):
-        self._weights: dict[tuple[Vertex, Vertex], ExactNumber] = {}
+        index: dict[Vertex, int] = {}
+        for v in vertices:
+            index.setdefault(v, len(index))
+        weights: dict[tuple[int, int], ExactNumber] = {}
         for u, v, w in edges:
-            if (u, v) in self._weights:
+            key = (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+            if key in weights:
                 raise ValueError(f"duplicate edge {u} -> {v}")
-            self._weights[(u, v)] = w
-        # the given vertices, then edge ends, in order of first appearance
-        self._succ: dict[Vertex, list[Vertex]] = {
-            v: [] for v in chain(vertices, chain.from_iterable(self._weights))
-        }
-        self._pred: dict[Vertex, list[Vertex]] = {v: [] for v in self._succ}
-        for u, v in self._weights:
-            self._succ[u].append(v)
-            self._pred[v].append(u)
+            weights[key] = w
+        self._build(index, weights, order)
 
-        self._order = tuple(self._succ if order is None else order)
-        if len(self._order) != len(self._succ) or self._succ.keys() != set(self._order):
+    def _build(
+        self,
+        index: dict[Vertex, int],
+        weights: dict[tuple[int, int], ExactNumber],
+        order: Sequence[Vertex] | None,
+    ) -> None:
+        self._index = index
+        self._vertex = list(index)
+        self._weights = weights
+        self._succ: list[list[tuple[int, ExactNumber]]] = [[] for _ in index]
+        self._pred: list[list[int]] = [[] for _ in index]
+        for (i, j), w in weights.items():
+            self._succ[i].append((j, w))
+            self._pred[j].append(i)
+
+        self._order = tuple(self._vertex if order is None else order)
+        if len(self._order) != len(index) or index.keys() != set(self._order):
             raise ValueError("order must list every vertex exactly once")
         self._rank = {v: i for i, v in enumerate(self._order)}
 
-        indegree = {v: len(p) for v, p in self._pred.items()}
-        topo = [v for v, d in indegree.items() if d == 0]
-        for v in topo:
-            for w in self._succ[v]:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    topo.append(w)
+        indegree = [len(p) for p in self._pred]
+        topo = [i for i, d in enumerate(indegree) if d == 0]
+        for i in topo:
+            for j, _ in self._succ[i]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    topo.append(j)
         if len(topo) != len(indegree):
             raise ValueError("graph contains a directed cycle")
-        self._topo = tuple(topo)
-        # per-source Green function vectors, filled lazily (read-mostly)
-        self._green_cache: dict[Vertex, dict[Vertex, ExactNumber]] = {}
+        self._topo_index = topo
+        self._position = [0] * len(topo)
+        for k, i in enumerate(topo):
+            self._position[i] = k
+        self._topo = tuple(self._vertex[i] for i in topo)
+        # per-source Green function rows by vertex index, filled lazily
+        self._green_cache: dict[int, list[ExactNumber]] = {}
+
+    def _index_of(self, v: Vertex) -> int:
+        try:
+            return self._index[v]
+        except KeyError:
+            raise KeyError(f"unknown vertex {v!r}") from None
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -83,42 +118,59 @@ class PathGraph:
         return self._rank[v]
 
     def successors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return tuple(self._succ[v])
+        return tuple(self._vertex[j] for j, _ in self._succ[self._index[v]])
 
     def has_vertex(self, v: Vertex) -> bool:
-        return v in self._succ
+        return v in self._index
 
     def path_weight(self, path: Sequence[Vertex]) -> ExactNumber:
         w: ExactNumber = 1
+        index = self._index
         for a, b in zip(path, path[1:]):
-            w *= self._weights[(a, b)]
+            try:
+                w *= self._weights[index[a], index[b]]
+            except KeyError:
+                raise KeyError((a, b)) from None
         return w
 
     def to_json(self) -> dict:
+        vertex = self._vertex
         return {
             "vertices": [_vertex_json(v) for v in self._order],
             "order": [_vertex_json(v) for v in self._order],
             "edges": [
-                {"from": _vertex_json(u), "to": _vertex_json(v), "weight": _weight_json(w)}
-                for (u, v), w in self._weights.items()
+                {
+                    "from": _vertex_json(vertex[i]),
+                    "to": _vertex_json(vertex[j]),
+                    "weight": _weight_json(w),
+                }
+                for (i, j), w in self._weights.items()
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PathGraph":
         vertices = [_vertex_load(v) for v in data["vertices"]]
-        known = set(vertices)
-        edges = []
+        index: dict[Vertex, int] = {}
+        for v in vertices:
+            index.setdefault(v, len(index))
+        weights: dict[tuple[int, int], ExactNumber] = {}
         for e in data["edges"]:
             u, v = _vertex_load(e["from"]), _vertex_load(e["to"])
-            for end in (u, v):
-                if end not in known:
-                    raise ValueError(f'edge {u!r} -> {v!r}: vertex {end!r} is not in "vertices"')
-            edges.append((u, v, _weight_load(e.get("weight", 1))))
+            key = (index.get(u), index.get(v))
+            if None in key:
+                end = u if key[0] is None else v
+                raise ValueError(f'edge {u!r} -> {v!r}: vertex {end!r} is not in "vertices"')
+            w = _weight_load(e.get("weight", 1))
+            if key in weights:
+                raise ValueError(f"duplicate edge {u} -> {v}")
+            weights[key] = w
         # to_json writes the order as the vertex list; load it once
         order = data.get("order", data["vertices"])
         order = vertices if order == data["vertices"] else [_vertex_load(v) for v in order]
-        return cls(edges, vertices=vertices, order=order)
+        g = cls.__new__(cls)
+        g._build(index, weights, order)
+        return g
 
 
 def _vertex_json(v: Vertex):
@@ -134,6 +186,9 @@ def _weight_json(w: ExactNumber):
 
 
 def _weight_load(w) -> ExactNumber:
+    # Fraction(True) == 1, so to_fraction alone would read a JSON boolean
+    if isinstance(w, bool):
+        raise ValueError(f"cannot read {w!r} as a rational: a boolean is not a number")
     return w if isinstance(w, int) else to_fraction(w)
 
 
@@ -177,21 +232,22 @@ class PathTuple:
 
 def green_function(g: PathGraph, u: Vertex, v: Vertex) -> ExactNumber:
     """Sum over all directed u -> v paths of the product of edge weights."""
-    if not g.has_vertex(u):
-        raise KeyError(f"unknown vertex {u!r}")
-    if not g.has_vertex(v):
-        raise KeyError(f"unknown vertex {v!r}")
-    table = g._green_cache.get(u)
-    if table is None:
-        table = {u: 1}
-        for w in g._topo:
-            acc = table.get(w, 0)
+    i, j = g._index_of(u), g._index_of(v)
+    row = g._green_cache.get(i)
+    if row is None:
+        # only vertices from u's place in the topological order on are
+        # reachable from u
+        row = [0] * len(g._vertex)
+        row[i] = 1
+        succ = g._succ
+        for k in g._topo_index[g._position[i] :]:
+            acc = row[k]
             if acc == 0:
                 continue
-            for succ in g._succ[w]:
-                table[succ] = table.get(succ, 0) + acc * g._weights[w, succ]
-        g._green_cache[u] = table
-    return table.get(v, 0)
+            for s, w in succ[k]:
+                row[s] += acc * w
+        g._green_cache[i] = row
+    return row[j]
 
 
 def lgv_determinant(
@@ -292,25 +348,20 @@ def check_compatibility(
     """True iff for every i < j each path u_i -> v_j meets each u_j -> v_i."""
     if len(sources) != len(sinks):
         raise ValueError("need equally many sources and sinks")
-    for v in (*sources, *sinks):
-        if not g.has_vertex(v):
-            raise KeyError(f"unknown vertex {v!r}")
-    position = {v: k for k, v in enumerate(g._topo)}
+    starts = [g._index_of(v) for v in sources]
+    ends = [g._index_of(v) for v in sinks]
     pairs = combinations(range(len(sources)), 2)
     return not any(
-        _disjoint_paths_exist(g, position, (sources[i], sources[j]), (sinks[j], sinks[i]))
-        for i, j in pairs
+        _disjoint_paths_exist(g, (starts[i], starts[j]), (ends[j], ends[i])) for i, j in pairs
     )
 
 
 def _disjoint_paths_exist(
-    g: PathGraph,
-    position: dict[Vertex, int],
-    starts: tuple[Vertex, Vertex],
-    ends: tuple[Vertex, Vertex],
+    g: PathGraph, starts: tuple[int, int], ends: tuple[int, int]
 ) -> bool:
     """Whether a path starts[0] -> ends[0] and a path starts[1] -> ends[1]
-    share no vertex, by a search over the pairs of their heads.
+    share no vertex, by a search over the pairs of their heads (all given
+    by vertex index).
 
     A step moves the head earlier in the topological order, or the one not
     yet at its end, to a vertex from which its end is still reachable. Each
@@ -323,6 +374,7 @@ def _disjoint_paths_exist(
     live = [_ancestors(g, v) for v in ends]
     if starts[0] == starts[1] or starts[0] not in live[0] or starts[1] not in live[1]:
         return False
+    position, succ = g._position, g._succ
     seen = {starts}
     stack = [starts]
     while stack:
@@ -330,9 +382,9 @@ def _disjoint_paths_exist(
         if (a, b) == ends:
             return True
         if b == ends[1] or (a != ends[0] and position[a] < position[b]):
-            moves = [(c, b) for c in g.successors(a) if c in live[0]]
+            moves = [(c, b) for c, _ in succ[a] if c in live[0]]
         else:
-            moves = [(a, c) for c in g.successors(b) if c in live[1]]
+            moves = [(a, c) for c, _ in succ[b] if c in live[1]]
         for state in moves:
             if state[0] != state[1] and state not in seen:
                 seen.add(state)
@@ -340,8 +392,8 @@ def _disjoint_paths_exist(
     return False
 
 
-def _ancestors(g: PathGraph, v: Vertex) -> set[Vertex]:
-    """v and every vertex with a path to v."""
+def _ancestors(g: PathGraph, v: int) -> set[int]:
+    """The index v and the index of every vertex with a path to it."""
     out, stack = {v}, [v]
     while stack:
         for u in g._pred[stack.pop()]:

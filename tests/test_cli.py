@@ -190,6 +190,34 @@ def test_lgv_names_an_edge_to_an_unlisted_vertex(edge, vertex, tmp_path, capsys)
     assert err == f"error: edge {edge[0]!r} -> {edge[1]!r}: vertex {vertex!r} is not in \"vertices\"\n"
 
 
+@pytest.mark.parametrize("weight", [True, False])
+def test_lgv_refuses_a_boolean_edge_weight(weight, tmp_path, capsys):
+    # Fraction(True) == 1: read as a number, true would give a determinant of 1
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(
+        {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "weight": weight}]}
+    ))
+    code, out, err = run_cli(
+        ["lgv", "--graph", str(path), "--sources", "a", "--sinks", "b"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {weight!r} as a rational: ")
+
+
+@pytest.mark.parametrize(
+    "sources, sinks, line",
+    [("z", "b", "unknown vertex 'z'"), ("a", "1,2", "unknown vertex (1, 2)")],
+)
+def test_lgv_names_an_unknown_endpoint_without_quotes(sources, sinks, line, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}]}))
+    code, out, err = run_cli(
+        ["lgv", "--graph", str(path), "--sources", sources, "--sinks", sinks], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("text", ["", "not json"])
 @pytest.mark.parametrize(
     "argv",

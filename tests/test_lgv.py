@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from noncollide import lgv
 from noncollide.lgv import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -265,3 +268,86 @@ def test_graphs_built_out_of_topological_order():
     # a cycle behind a source and in front of a sink
     with pytest.raises(ValueError, match="directed cycle"):
         PathGraph([("s", "a", 1), ("a", "b", 1), ("b", "c", 1), ("c", "a", 1), ("c", "t", 1)])
+
+
+def _mixed_dag(rng, size, density):
+    """A random DAG on str, int and tuple vertices with int, Fraction and
+    negative weights. Edges come shuffled, part of the vertices are given
+    up front, and the total order is a shuffle of them all, so neither the
+    construction order nor the order is a topological one."""
+    pool = [f"v{k}" for k in range(30)] + list(range(30)) + [(k, k % 3) for k in range(30)]
+    labels = rng.sample(pool, size)  # edges run from earlier to later labels
+    weights = (1, 2, -1, -3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4))
+    edges = [
+        (labels[a], labels[b], rng.choice(weights))
+        for a in range(size)
+        for b in range(a + 1, size)
+        if rng.random() < density
+    ]
+    rng.shuffle(edges)
+    given = rng.sample(labels, size // 2)
+    order = list(dict.fromkeys(given + [end for e in edges for end in e[:2]]))
+    rng.shuffle(order)
+    return PathGraph(edges, vertices=given, order=order)
+
+
+def test_mixed_vertex_dags_match_enumeration():
+    rng = random.Random(24)
+    outcomes = []
+    for _ in range(120):
+        g = _mixed_dag(rng, rng.randrange(2, 9), rng.uniform(0.2, 0.6))
+        position = {v: k for k, v in enumerate(g._topo)}
+        assert len(g._topo) == len(position) and position.keys() == set(g.vertices)
+        for u in g.vertices:
+            assert all(position[u] < position[v] for v in g.successors(u)), g.to_json()
+            for v in g.vertices:
+                paths = enumerate_paths(g, u, v)
+                assert green_function(g, u, v) == sum(g.path_weight(p) for p in paths)
+        n = rng.randrange(1, min(3, len(g.vertices)) + 1)
+        sources, sinks = rng.sample(g.vertices, n), rng.sample(g.vertices, n)
+        signed = sum(c.sign() * c.weight(g) for c in enumerate_tuples(g, sources, sinks))
+        det = lgv_determinant(g, sources, sinks)
+        assert det == signed, (g.to_json(), sources, sinks)
+        expected = _compatible_by_enumeration(g, sources, sinks)
+        assert check_compatibility(g, sources, sinks) == expected, (g.to_json(), sources, sinks)
+        if n > 1:
+            outcomes.append(expected)
+    assert 10 < sum(outcomes) < len(outcomes) - 10  # both answers are exercised
+
+
+TO_JSON_PINNED = {
+    "walk_graph(16, 0, 16)": "5f40ce3d85d2d3906aa293b1fddb608f817b407088b1cddb96df299684d8d5c1",
+    "weighted": "b8e808bd5fbbcc28862b8507467219d8a529f2418534273d670369b36e36da81",
+}
+
+
+def test_to_json_is_pinned():
+    weighted = PathGraph(
+        [("s", (0, 1), Fraction(1, 3)), ((0, 1), 7, -2), ("s", 7, Fraction(-5, 7)),
+         (7, "t", 4), ((0, 1), "t", 1)],
+        vertices=["lone", "t"],
+        order=["t", 7, "lone", (0, 1), "s"],
+    )
+    graphs = {"walk_graph(16, 0, 16)": walk_graph(16, 0, 16), "weighted": weighted}
+    digests = {
+        name: hashlib.sha256(json.dumps(g.to_json()).encode()).hexdigest()
+        for name, g in graphs.items()
+    }
+    assert digests == TO_JSON_PINNED
+
+
+def test_lgv_determinant_calls_green_function_once_per_entry(monkeypatch):
+    calls = []
+    inner = lgv.green_function
+
+    def counted(g, u, v):
+        calls.append((u, v))
+        return inner(g, u, v)
+
+    monkeypatch.setattr(lgv, "green_function", counted)
+    g = walk_graph(8, 0, 8)
+    for n in (1, 2, 3, 4, 2):  # the last one again, with its rows cached
+        calls.clear()
+        x = range(0, 2 * n, 2)
+        lgv.lgv_determinant(g, [(v, 0) for v in x], [(v, 8) for v in x])
+        assert len(calls) == n * n
