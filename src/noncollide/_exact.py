@@ -38,7 +38,9 @@ def det_bareiss(matrix: Sequence[Sequence[ExactNumber]]) -> ExactNumber:
 
     Uses Bareiss' fraction-free elimination: every division performed is
     exact, so an all-integer input yields an int with no intermediate
-    rationals and no overflow.
+    rationals and no overflow. Any other input divides by Fractions: an int
+    entry beside a Fraction one never meets true division, which would
+    give a float.
     """
     n = len(matrix)
     if n == 0:
@@ -50,7 +52,9 @@ def det_bareiss(matrix: Sequence[Sequence[ExactNumber]]) -> ExactNumber:
     # isinstance(v, int) for every entry v, tested once per distinct type
     integral = all(issubclass(t, int) for t in set(map(type, chain.from_iterable(a))))
     sign = 1
-    prev = 1
+    # the first step's quotients by Fraction(1) are Fractions, so every later
+    # pivot is one too
+    prev = 1 if integral else Fraction(1)
     for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):

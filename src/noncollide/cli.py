@@ -447,11 +447,8 @@ def determinism_suite() -> list[TestReport]:
             code_b = run(command + ["--seed", "9001", "--out", b])
             same = code_a == code_b == 0 and filecmp.cmp(a, b, shallow=False)
             reports.append(
-                TestReport(
-                    name=f"determinism {command[0]}",
-                    statistic=0.0 if same else 1.0,
-                    threshold=0.0,
-                    passed=same,
+                TestReport.exact(
+                    f"determinism {command[0]}", int(not same),
                     seeds=(9001,),
                     detail="rerun with identical seed is byte-identical",
                 )
@@ -474,9 +471,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         for name in names:
             for report in available[name]():
                 reports.append(report)
-                status = "PASS" if report.passed else "FAIL"
-                print(f"{status} {report.name} (statistic={report.statistic:.6g}, "
-                      f"threshold={report.threshold:.6g})", file=stream)
+                print(report.line(), file=stream)
         if args.report:
             payload = [r.to_dict() for r in reports]
             Path(args.report).write_text(

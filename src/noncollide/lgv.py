@@ -345,23 +345,32 @@ def tail_swap(c: PathTuple, g: PathGraph) -> PathTuple:
 def check_compatibility(
     g: PathGraph, sources: Sequence[Vertex], sinks: Sequence[Vertex]
 ) -> bool:
-    """True iff for every i < j each path u_i -> v_j meets each u_j -> v_i."""
+    """True iff the sources are D-compatible with the sinks: for every i < j
+    and k < l, each path u_i -> v_l meets each path u_j -> v_k. Then the
+    identity is the only permutation with a nonintersecting tuple, and
+    ``lgv_determinant`` counts the nonintersecting tuples."""
     if len(sources) != len(sinks):
         raise ValueError("need equally many sources and sinks")
     starts = [g._index_of(v) for v in sources]
     ends = [g._index_of(v) for v in sinks]
-    pairs = combinations(range(len(sources)), 2)
+    live = [_ancestors(g, v) for v in ends]
+    pairs = list(combinations(range(len(sources)), 2))
     return not any(
-        _disjoint_paths_exist(g, (starts[i], starts[j]), (ends[j], ends[i])) for i, j in pairs
+        _disjoint_paths_exist(g, (starts[i], starts[j]), (ends[l], ends[k]), (live[l], live[k]))
+        for i, j in pairs
+        for k, l in pairs
     )
 
 
 def _disjoint_paths_exist(
-    g: PathGraph, starts: tuple[int, int], ends: tuple[int, int]
+    g: PathGraph,
+    starts: tuple[int, int],
+    ends: tuple[int, int],
+    live: tuple[set[int], set[int]],
 ) -> bool:
     """Whether a path starts[0] -> ends[0] and a path starts[1] -> ends[1]
     share no vertex, by a search over the pairs of their heads (all given
-    by vertex index).
+    by vertex index). live[m] is the ancestor set of ends[m] (``_ancestors``).
 
     A step moves the head earlier in the topological order, or the one not
     yet at its end, to a vertex from which its end is still reachable. Each
@@ -371,7 +380,6 @@ def _disjoint_paths_exist(
     (ends[0], ends[1]) exactly when a disjoint pair exists, after at most
     |V|^2 states.
     """
-    live = [_ancestors(g, v) for v in ends]
     if starts[0] == starts[1] or starts[0] not in live[0] or starts[1] not in live[1]:
         return False
     position, succ = g._position, g._succ

@@ -35,15 +35,9 @@ def _starts(n: int) -> list[tuple[int, ...]]:
     return [canonical, translated, stretched]
 
 
-def _exact_report(name: str, mismatches: int, checks: int) -> TestReport:
-    return TestReport(
-        name=name,
-        statistic=float(mismatches),
-        threshold=0.0,
-        passed=mismatches == 0,
-        sample_sizes=(checks,),
-        detail=f"{checks} exact comparisons, {mismatches} mismatches",
-    )
+def _exact_report(name: str, mismatches: int, checks: int, **fields) -> TestReport:
+    fields.setdefault("detail", f"{checks} exact comparisons, {mismatches} mismatches")
+    return TestReport.exact(name, mismatches, sample_sizes=(checks,), **fields)
 
 
 def counting_equivalence() -> list[TestReport]:
@@ -255,13 +249,10 @@ def involution_suite() -> list[TestReport]:
         if len(set(y)) < 3:
             continue
         perm = tuple(int(v) for v in rng.permutation(3))
-        try:
-            choices = [
-                lgv.enumerate_paths(graph, sources[i], (y[perm[i]], horizon))
-                for i in range(3)
-            ]
-        except KeyError:
-            continue
+        choices = [
+            lgv.enumerate_paths(graph, sources[i], (y[perm[i]], horizon))
+            for i in range(3)
+        ]
         if any(not paths for paths in choices):
             continue
         c = lgv.PathTuple(
@@ -274,12 +265,8 @@ def involution_suite() -> list[TestReport]:
         if not _involution_checks(c, graph):
             mismatches += 1
     reports.append(
-        TestReport(
-            name="involution random N=3",
-            statistic=float(mismatches),
-            threshold=0.0,
-            passed=mismatches == 0,
-            sample_sizes=(checks,),
+        _exact_report(
+            "involution random N=3", mismatches, checks,
             seeds=(SEEDS["involution"],),
             detail=f"{checks} random intersecting tuples",
         )
@@ -303,11 +290,8 @@ def survival_closed_form() -> list[TestReport]:
         quad = diffusion.survival_quadrature(t, x)
         worst = max(worst, abs(quad - exact))
     reports.append(
-        TestReport(
-            name="survival quadrature vs closed form",
-            statistic=worst,
-            threshold=1e-6,
-            passed=worst < 1e-6,
+        TestReport.below(
+            "survival quadrature vs closed form", worst, 1e-6,
             sample_sizes=(len(pts),),
             detail="max |quadrature - erf| over 20 (t, x) points",
         )
@@ -319,11 +303,8 @@ def survival_closed_form() -> list[TestReport]:
         approx = diffusion.survival_asymptotic(t, x)
         worst_rel = max(worst_rel, abs(approx / exact - 1.0))
     reports.append(
-        TestReport(
-            name="survival asymptotic small-separation",
-            statistic=worst_rel,
-            threshold=0.01,
-            passed=worst_rel < 0.01,
+        TestReport.below(
+            "survival asymptotic small-separation", worst_rel, 0.01,
             sample_sizes=(5,),
             detail="max relative error at separation/sqrt(t) <= 0.1",
         )
@@ -347,11 +328,8 @@ def normalization_suite() -> list[TestReport]:
             tol=1e-4,
         )
         reports.append(
-            TestReport(
-                name=f"normalization finite-horizon t/T={frac}",
-                statistic=abs(val - 1.0),
-                threshold=1e-3,
-                passed=abs(val - 1.0) < 1e-3,
+            TestReport.below(
+                f"normalization finite-horizon t/T={frac}", abs(val - 1.0), 1e-3,
                 detail=f"integral = {val!r}",
             )
         )
@@ -364,11 +342,8 @@ def normalization_suite() -> list[TestReport]:
             tol=1e-4,
         )
         reports.append(
-            TestReport(
-                name=f"normalization h-transform t={t}",
-                statistic=abs(val - 1.0),
-                threshold=1e-3,
-                passed=abs(val - 1.0) < 1e-3,
+            TestReport.below(
+                f"normalization h-transform t={t}", abs(val - 1.0), 1e-3,
                 detail=f"integral = {val!r}",
             )
         )
@@ -390,11 +365,8 @@ def normalization_suite() -> list[TestReport]:
         )
         worst = max(worst, abs(conv - direct))
     reports.append(
-        TestReport(
-            name="Chapman-Kolmogorov h-transform",
-            statistic=worst,
-            threshold=1e-3,
-            passed=worst < 1e-3,
+        TestReport.below(
+            "Chapman-Kolmogorov h-transform", worst, 1e-3,
             sample_sizes=(len(probes),),
             detail="max |convolution - direct| over probe points",
         )
@@ -489,11 +461,8 @@ def sde_structure_suite() -> list[TestReport]:
             seeds=(SEEDS["sde_drift"],),
             detail=f"slope {rep.slope:.4f} +- {rep.slope_se:.4f}",
         ),
-        TestReport(
-            name="sde drift regression intercept",
-            statistic=abs(rep.intercept),
-            threshold=0.05,
-            passed=abs(rep.intercept) < 0.05,
+        TestReport.below(
+            "sde drift regression intercept", abs(rep.intercept), 0.05,
             sample_sizes=(rep.n_points,),
             seeds=(SEEDS["sde_drift"],),
             detail=f"intercept {rep.intercept:.4f} +- {rep.intercept_se:.4f}",
@@ -511,11 +480,8 @@ def sde_structure_suite() -> list[TestReport]:
     gamma = rmt.estimate_gamma(2, 100_000, np.random.default_rng(SEEDS["sde_gamma"]))
     dev = float(np.max(np.abs(gamma - 1.0)))
     reports.append(
-        TestReport(
-            name="sde carre-du-champ entries",
-            statistic=dev,
-            threshold=0.03,
-            passed=dev < 0.03,
+        TestReport.below(
+            "sde carre-du-champ entries", dev, 0.03,
             sample_sizes=(100_000,),
             seeds=(SEEDS["sde_gamma"],),
             detail=f"max |entry - 1| = {dev:.4f}",
@@ -530,11 +496,8 @@ def drift_limit_suite() -> list[TestReport]:
     target = np.array([-0.5, 0.5])
     rel = float(np.max(np.abs(b / target - 1.0)))
     return [
-        TestReport(
-            name="long-horizon drift limit",
-            statistic=rel,
-            threshold=0.01,
-            passed=rel < 0.01,
+        TestReport.below(
+            "long-horizon drift limit", rel, 0.01,
             detail=f"drift {b.tolist()} vs {target.tolist()}",
         )
     ]

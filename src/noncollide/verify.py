@@ -3,7 +3,11 @@
 Thin, deterministic wrappers around scipy's KS tests, returning a uniform
 ``TestReport`` record that the acceptance suite and the CLI both consume,
 and one batched Gauss-Legendre rule over the ordered region
-(``quadrature_integrate``). Each KS wrapper imports the scipy module it
+(``quadrature_integrate``). A report built by ``TestReport.below`` passes
+iff its statistic is strictly below its threshold (so equality and NaN
+fail); one built by ``TestReport.exact`` counts the mismatches of an exact
+comparison and passes iff there are none. ``TestReport.line`` is the
+report's PASS/FAIL status line. Each KS wrapper imports the scipy module it
 needs when it is called, so importing this module loads numpy only. All
 tests are pure functions of their inputs; randomness always enters
 through explicit seeds upstream.
@@ -34,6 +38,21 @@ class TestReport:
     sample_sizes: tuple[int, ...] = ()
     seeds: tuple[int, ...] = ()
     detail: str = ""
+
+    @classmethod
+    def below(cls, name: str, statistic: float, threshold: float, **fields) -> TestReport:
+        """A report that passes iff statistic < threshold."""
+        return cls(name, statistic, threshold, bool(statistic < threshold), **fields)
+
+    @classmethod
+    def exact(cls, name: str, mismatches: int, **fields) -> TestReport:
+        """A report of an exact comparison that passes iff mismatches == 0."""
+        return cls(name, float(mismatches), 0.0, mismatches == 0, **fields)
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (f"{status} {self.name} (statistic={self.statistic:.6g}, "
+                f"threshold={self.threshold:.6g})")
 
     def to_dict(self) -> dict:
         return {
@@ -101,11 +120,8 @@ def ks_one_sample(
     lower = probe - np.arange(0, n) / n
     statistic = float(max(upper.max(), lower.max()))
     p_value = float(stats.kstwo.sf(statistic, n))
-    return TestReport(
-        name=name,
-        statistic=statistic,
-        threshold=statistic_threshold,
-        passed=bool(statistic < statistic_threshold),
+    return TestReport.below(
+        name, statistic, statistic_threshold,
         p_value=p_value,
         sample_sizes=(n,),
         seeds=seeds,

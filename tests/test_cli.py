@@ -120,6 +120,33 @@ def test_lgv_command(tmp_path, capsys):
     assert lines[1] == "compatible: true"
 
 
+@pytest.mark.parametrize("sources, sinks", [("a;c;e", "b;d;f"), ("c;e;a", "d;f;b")])
+def test_lgv_prints_a_mixed_weight_determinant_exactly(sources, sinks, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "vertices": list("abcdef"),
+        "edges": [{"from": "a", "to": "b", "weight": "1/3"}, {"from": "c", "to": "d"},
+                  {"from": "e", "to": "f"}],
+    }))
+    code, out, _ = run_cli(
+        ["lgv", "--graph", str(path), "--sources", sources, "--sinks", sinks], capsys
+    )
+    assert (code, out) == (0, "1/3\n")
+
+
+def test_lgv_compatibility_check_tests_every_crossing_pair(tmp_path, capsys):
+    # a -> a, b -> b, c -> c: a nonintersecting tuple of a permutation other
+    # than the identity
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [{"from": "a", "to": "b"}]}))
+    code, out, _ = run_cli(
+        ["lgv", "--graph", str(path), "--sources", "a;b;c", "--sinks", "b;c;a",
+         "--check-compatibility"],
+        capsys,
+    )
+    assert (code, out) == (0, "1\ncompatible: false\n")
+
+
 @pytest.mark.parametrize("weight", ["1/0", None, math.inf])
 def test_lgv_refuses_unreadable_weight(weight, tmp_path, capsys):
     path = tmp_path / "g.json"
@@ -377,6 +404,44 @@ def test_verify_writes_its_lines_to_out(tmp_path, capsys):
     assert code == 0 and stdout.startswith("PASS ")
     assert run_cli(["verify", "--suite", "pinned", "--out", str(out)], capsys) == (0, "", "")
     assert out.read_text() == stdout
+
+
+# sha256 of the stdout and the --report JSON of every suite but the two
+# slowest, equivalence and sde, recorded before the reports were built by
+# TestReport.below and TestReport.exact
+VERIFY_PINNED = (
+    "8bf95705326cf3b4905ffb3bf9923efadbc63218b033c4f6e1f554e8d860d548",
+    "70a0a4929b9e4789f5e6e08da1b2f2b041cf3a1996abd439e007940275617f0b",
+)
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    suites = "counting,pinned,bijection,schur,involution,survival,normalization,scaling," \
+        "drift-limit,determinism"
+    report = tmp_path / "reports.json"
+    code, out, _ = run_cli(["verify", "--suite", suites, "--report", str(report)], capsys)
+    assert code == 0 and out.endswith("\n70/70 checks passed\n")
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(report.read_bytes()).hexdigest())
+    assert digests == VERIFY_PINNED
+
+
+def test_verify_prints_each_report_line(tmp_path, capsys):
+    from noncollide.verify import TestReport
+
+    report = tmp_path / "reports.json"
+    code, out, _ = run_cli(
+        ["verify", "--suite", "pinned,drift-limit,scaling", "--report", str(report)], capsys
+    )
+    assert code == 0
+    reports = [
+        TestReport(**dict(entry, sample_sizes=tuple(entry["sample_sizes"]),
+                          seeds=tuple(entry["seeds"])))
+        for entry in json.loads(report.read_text())
+    ]
+    lines = out.splitlines()
+    assert lines[:-1] == [r.line() for r in reports]
+    assert lines[-1] == f"{len(reports)}/{len(reports)} checks passed"
 
 
 def test_verify_unknown_suite(capsys):

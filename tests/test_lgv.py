@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from noncollide import lgv
+from noncollide._exact import det_bareiss
 from noncollide.lgv import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -117,9 +119,12 @@ def test_check_compatibility():
 
 
 def _compatible_by_enumeration(g, sources, sinks):
-    for i, j in itertools.combinations(range(len(sources)), 2):
-        for p in enumerate_paths(g, sources[i], sinks[j]):
-            if any(set(p).isdisjoint(q) for q in enumerate_paths(g, sources[j], sinks[i])):
+    # D-compatibility: for i < j and k < l, every u_i -> v_l path meets
+    # every u_j -> v_k path
+    pairs = list(itertools.combinations(range(len(sources)), 2))
+    for (i, j), (k, l) in itertools.product(pairs, pairs):
+        for p in enumerate_paths(g, sources[i], sinks[l]):
+            if any(set(p).isdisjoint(q) for q in enumerate_paths(g, sources[j], sinks[k])):
                 return False
     return True
 
@@ -158,6 +163,31 @@ def test_check_compatibility_matches_enumeration():
         assert check_compatibility(g, sources, sinks) == expected, (g.to_json(), sources, sinks)
         outcomes.append(expected)
     assert 50 < sum(outcomes) < len(outcomes) - 50  # both answers are exercised
+
+
+def test_check_compatibility_tests_every_crossing_pair():
+    # the empty paths a -> a (u_0 -> v_2) and b -> b (u_1 -> v_0) are
+    # disjoint, with 0 < 1 and 0 < 2; no pair u_i -> v_j, u_j -> v_i of
+    # paths exists at all
+    g = PathGraph([("a", "b", 1)], vertices=["c"])
+    assert not check_compatibility(g, ["a", "b", "c"], ["b", "c", "a"])
+    assert check_compatibility(g, ["a", "c"], ["b", "c"])
+
+
+def test_det_bareiss_of_mixed_int_and_fraction_entries_is_exact():
+    assert det_bareiss([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 3)]]) == Fraction(1, 3)
+    assert type(det_bareiss([[0, 1, 0], [0, 0, 1], [Fraction(1, 3), 0, 0]])) is Fraction
+    rng = random.Random(25)
+    entries = (0, 1, -2, 3, Fraction(1, 3), Fraction(-5, 2))
+    for _ in range(200):
+        n = rng.randrange(1, 5)
+        m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        leibniz = sum(
+            PathTuple(perm, ()).sign() * math.prod(m[i][perm[i]] for i in range(n))
+            for perm in itertools.permutations(range(n))
+        )
+        det = det_bareiss(m)
+        assert det == leibniz and not isinstance(det, float), m
 
 
 def test_check_compatibility_has_no_cap():

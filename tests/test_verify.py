@@ -138,3 +138,37 @@ def test_reports_deterministic():
     data = report.to_dict()
     assert data["seeds"] == [80]
     assert report.to_json() == build().to_json()
+
+
+@pytest.mark.parametrize(
+    "statistic, passed",
+    [(0.5, True), (1.0, False), (1.5, False), (math.nan, False)],
+)
+def test_below_passes_strictly_below_the_threshold(statistic, passed):
+    report = TestReport.below("check", statistic, 1.0, sample_sizes=(3,), seeds=(7,), detail="d")
+    assert report.passed is passed
+    assert report.statistic is statistic and report.threshold == 1.0
+    assert (report.name, report.p_value, report.sample_sizes, report.seeds, report.detail) == (
+        "check", None, (3,), (7,), "d"
+    )
+
+
+@pytest.mark.parametrize("mismatches", [0, 1, 4])
+def test_exact_counts_mismatches(mismatches):
+    report = TestReport.exact("exact check", mismatches, sample_sizes=(9,), detail="d")
+    assert report == TestReport(
+        name="exact check",
+        statistic=float(mismatches),
+        threshold=0.0,
+        passed=mismatches == 0,
+        sample_sizes=(9,),
+        detail="d",
+    )
+    assert type(report.statistic) is float and type(report.threshold) is float
+
+
+def test_line_formats_statistic_and_threshold():
+    assert TestReport.below("a b", 1 / 3, 0.02).line() == (
+        "FAIL a b (statistic=0.333333, threshold=0.02)"
+    )
+    assert TestReport.exact("c", 0).line() == "PASS c (statistic=0, threshold=0)"
